@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 from typing import Optional
 
 from .changeaction import check_cad_derivative, check_change_action, induced_action
-from .errors import DiffkitError
+from .errors import DiffkitError, InvalidArgument
 from .kernel import AXIOM_IDS, DifferenceModel, check_axiom, check_flatness
 from .lambda_closed import run_lambda_suite
 from .models import get_model, load_table_primitive
@@ -128,7 +129,13 @@ class _PointParser:
         if self.pos == start:
             self.fail("expected a number")
         tok = self.text[start : self.pos]
-        return float(tok) if any(ch in tok for ch in ".eE") else int(tok)
+        try:
+            v = float(tok) if any(ch in tok for ch in ".eE") else int(tok)
+        except ValueError:
+            self.fail(f"bad number {tok!r}")
+        if not math.isfinite(v):
+            self.fail(f"number {tok!r} is out of range")
+        return v
 
     def values_until(self, closer):
         items = []
@@ -290,6 +297,8 @@ def run_check(
     `CA` and `CAD` run the change-action laws of the induced action and
     the derivative laws of every subject respectively.
     """
+    if subjects < 1:
+        raise InvalidArgument("check needs at least one subject")
     pool = model.random_subjects(space, subjects, seed)
     results = []
     for ax in axioms:

@@ -5,6 +5,10 @@ class DiffkitError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidArgument(DiffkitError, ValueError):
+    """A value outside what a constructor or entry point accepts."""
+
+
 class NotEnumerable(DiffkitError):
     """The space has no finite enumeration (e.g. real vector spaces)."""
 

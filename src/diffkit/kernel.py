@@ -17,7 +17,6 @@ element points.
 
 from __future__ import annotations
 
-import weakref
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -28,11 +27,10 @@ from .morphisms import (
     EqualityStrategy,
     LawReport,
     Morphism,
-    TABLE_LIMIT,
+    codes_at,
+    domain_codes,
     morphisms_equal,
     report_from_equalities,
-    table_codec_size,
-    tabulate,
     to_jsonable,
 )
 from .spaces import (
@@ -40,7 +38,6 @@ from .spaces import (
     Space,
     TERMINAL,
     add_elem,
-    arange_for,
     codec_size,
     derive_seed,
     elements_equal,
@@ -56,12 +53,9 @@ from .spaces import (
 )
 
 
-def _lazy_table(dom: Space, builder: Callable[[], Optional[np.ndarray]]):
-    """Defer table construction; None when the domain can never tabulate."""
-    n = codec_size(dom)
-    if n is None or n > TABLE_LIMIT:
-        return None
-    return builder
+def _filled(dom: Space, idx, code: int = 0) -> np.ndarray:
+    """One code at every requested point of `dom`."""
+    return np.full(codec_size(dom) if idx is None else len(idx), code, dtype=np.int64)
 
 
 def _merge_model(*ms: Morphism) -> Optional[str]:
@@ -77,7 +71,7 @@ def _merge_model(*ms: Morphism) -> Optional[str]:
 
 def identity(space: Space) -> Morphism:
     return Morphism(space, space, lambda x: x, name="id",
-                    table_builder=_lazy_table(space, lambda: arange_for(space)))
+                    table_builder=lambda idx=None: domain_codes(space, idx))
 
 
 def projection(i: int, left: Space, right: Space) -> Morphism:
@@ -86,77 +80,63 @@ def projection(i: int, left: Space, right: Space) -> Morphism:
     dom = Product(left, right)
     cod = left if i == 0 else right
 
-    def build():
+    def build(idx=None):
         r = codec_size(right)
-        idx = arange_for(dom)
+        idx = domain_codes(dom, idx)
         return idx // r if i == 0 else idx % r
 
     return Morphism(dom, cod, (lambda x: x[0]) if i == 0 else (lambda x: x[1]),
-                    name=f"pi{i}", table_builder=_lazy_table(dom, build))
+                    name=f"pi{i}", table_builder=build)
 
 
 def terminal_map(space: Space) -> Morphism:
-    def build():
-        n = codec_size(space)
-        return np.zeros(n, dtype=np.int64)
-
     return Morphism(space, TERMINAL, lambda x: (), name="!",
-                    table_builder=_lazy_table(space, build))
+                    table_builder=lambda idx=None: _filled(space, idx))
 
 
 def zero_map(dom: Space, cod: Space) -> Morphism:
     z = zero_elem(cod)
-    builder = None
-    if table_codec_size(cod) is not None:
-        # the zero element always encodes to index 0
-        builder = _lazy_table(dom, lambda: np.zeros(codec_size(dom), dtype=np.int64))
-    return Morphism(dom, cod, lambda x, _z=z: _z, name="0", table_builder=builder)
+    # the zero element always encodes to index 0
+    return Morphism(dom, cod, lambda x, _z=z: _z, name="0",
+                    table_builder=lambda idx=None: _filled(dom, idx))
 
 
 def const_map(dom: Space, cod: Space, value) -> Morphism:
-    builder = None
-    if table_codec_size(cod) is not None:
-        code = encode(cod, value)
-        builder = _lazy_table(
-            dom, lambda: np.full(codec_size(dom), code, dtype=np.int64))
     return Morphism(dom, cod, lambda x, _v=value: _v, name="const",
-                    table_builder=builder)
+                    table_builder=lambda idx=None: _filled(dom, idx, encode(cod, value)))
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:
     if f.cod != g.dom:
         raise DomainMismatch(f"cannot compose {g!r} after {f!r}")
 
-    def build():
-        tf, tg = tabulate(f), tabulate(g)
-        return None if tf is None or tg is None else tg[tf]
+    def build(idx=None):
+        tf = codes_at(f, idx)
+        return None if tf is None else codes_at(g, tf)
 
     return Morphism(
         f.dom, g.cod,
         lambda x, _f=f.fn, _g=g.fn: _g(_f(x)),
         model=_merge_model(f, g),
         name=f"({g.name} . {f.name})",
-        table_builder=_lazy_table(f.dom, build),
+        table_builder=build,
     )
 
 
 def pair(f: Morphism, g: Morphism) -> Morphism:
     if f.dom != g.dom:
         raise DomainMismatch(f"pairing needs a shared domain: {f!r}, {g!r}")
-    cod = Product(f.cod, g.cod)
 
-    def build():
-        tf, tg = tabulate(f), tabulate(g)
-        if tf is None or tg is None or table_codec_size(cod) is None:
-            return None
-        return tf * codec_size(g.cod) + tg
+    def build(idx=None):
+        tf, tg = codes_at(f, idx), codes_at(g, idx)
+        return None if tf is None or tg is None else tf * codec_size(g.cod) + tg
 
     return Morphism(
-        f.dom, cod,
+        f.dom, Product(f.cod, g.cod),
         lambda x, _f=f.fn, _g=g.fn: (_f(x), _g(x)),
         model=_merge_model(f, g),
         name=f"<{f.name},{g.name}>",
-        table_builder=_lazy_table(f.dom, build),
+        table_builder=build,
     )
 
 
@@ -165,8 +145,8 @@ def add(f: Morphism, g: Morphism) -> Morphism:
         raise DomainMismatch(f"sum needs matching shapes: {f!r}, {g!r}")
     cod = f.cod
 
-    def build():
-        tf, tg = tabulate(f), tabulate(g)
+    def build(idx=None):
+        tf, tg = codes_at(f, idx), codes_at(g, idx)
         return None if tf is None or tg is None else v_add(cod, tf, tg)
 
     return Morphism(
@@ -174,13 +154,13 @@ def add(f: Morphism, g: Morphism) -> Morphism:
         lambda x, _f=f.fn, _g=g.fn, _c=cod: add_elem(_c, _f(x), _g(x)),
         model=_merge_model(f, g),
         name=f"({f.name} + {g.name})",
-        table_builder=_lazy_table(f.dom, build),
+        table_builder=build,
     )
 
 
 def negate(f: Morphism) -> Morphism:
-    def build():
-        tf = tabulate(f)
+    def build(idx=None):
+        tf = codes_at(f, idx)
         return None if tf is None else v_neg(f.cod, tf)
 
     return Morphism(
@@ -188,12 +168,8 @@ def negate(f: Morphism) -> Morphism:
         lambda x, _f=f.fn, _c=f.cod: neg_elem(_c, _f(x)),
         model=f.model,
         name=f"(-{f.name})",
-        table_builder=_lazy_table(f.dom, build),
+        table_builder=build,
     )
-
-
-def subtract(f: Morphism, g: Morphism) -> Morphism:
-    return add(f, negate(g))
 
 
 def product_map(f: Morphism, g: Morphism) -> Morphism:
@@ -212,8 +188,9 @@ class DifferenceModel:
 
     Subclasses fix the legal space kinds, the infinitesimal extension,
     the difference combinator, a registry of named primitives, and a
-    source of random law-check subjects. Derivatives are memoized per
-    morphism so that repeated axiom instantiations share their tables.
+    source of random law-check subjects. Derivatives are memoized on the
+    differentiated morphism (`Morphism.derivatives`), so repeated axiom
+    instantiations share their tables and the memo dies with its key.
     """
 
     tag: str = "abstract"
@@ -221,9 +198,6 @@ class DifferenceModel:
     def __init__(self):
         self._primitives: dict[str, Callable[[Space], Morphism]] = {}
         self._primitive_cache: dict[tuple[str, Space], Morphism] = {}
-        self._derivative_cache: "weakref.WeakKeyDictionary[Morphism, Morphism]" = (
-            weakref.WeakKeyDictionary()
-        )
 
     # -- spaces
 
@@ -246,10 +220,9 @@ class DifferenceModel:
         raise NotImplementedError
 
     def derivative(self, f: Morphism) -> Morphism:
-        cached = self._derivative_cache.get(f)
+        cached = f.derivatives.get(self)
         if cached is None:
-            cached = self._derivative(f)
-            self._derivative_cache[f] = cached
+            cached = f.derivatives[self] = self._derivative(f)
         return cached
 
     def _derivative(self, f: Morphism) -> Morphism:

@@ -18,7 +18,7 @@ import random
 
 import numpy as np
 
-from .errors import NotFinite
+from .errors import InvalidArgument, NotFinite
 from .kernel import (
     DifferenceModel,
     add,
@@ -224,6 +224,8 @@ def run_lambda_suite(
     pool = [CyclicGroup(n) for n in range(2, max_size + 1)]
     pool.append(Product(CyclicGroup(2), CyclicGroup(2)))
     pool = [s for s in pool if codec_size(s) <= max_size]
+    if not pool:
+        raise InvalidArgument(f"no space has at most {max_size} elements; max_size must be >= 2")
     reports = []
     rng = random.Random(derive_seed(seed, "lambda-suite"))
     for i in range(subjects):

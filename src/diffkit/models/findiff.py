@@ -12,8 +12,8 @@ import random
 import numpy as np
 
 from ..errors import ModelRestriction, NoNegation
-from ..kernel import DifferenceModel, TABLE_LIMIT
-from ..morphisms import Morphism, from_table, tabulate
+from ..kernel import DifferenceModel
+from ..morphisms import TABLE_LIMIT, Morphism, codes_at, domain_codes, from_table
 from ..spaces import (
     BoundedInt,
     CyclicGroup,
@@ -32,34 +32,23 @@ from ..spaces import (
 )
 
 
-def _difference_table(f: Morphism):
-    """Vectorized table of (x, y) -> f(x+y) - f(x) when f is table-backed."""
-    a, b = f.dom, f.cod
-    n = codec_size(a)
-    if n is None or codec_size(b) is None or n * n > TABLE_LIMIT:
-        return None
-    tf = tabulate(f)
-    if tf is None:
-        return None
-    idx = np.arange(n * n, dtype=np.int64)
-    x, y = idx // n, idx % n
-    s = v_add(a, x, y)
-    return v_sub(b, tf[s], tf[x])
-
-
 def difference_derivative(f: Morphism, model_tag: str) -> Morphism:
     if not has_negation(f.cod):
         raise NoNegation(f"difference derivative needs subtraction on {f.cod!r}")
     a, b = f.dom, f.cod
+    dom = Product(a, a)
 
     def fn(p, _f=f.fn, _a=a, _b=b):
         x, y = p
         return sub_elem(_b, _f(add_elem(_a, x, y)), _f(x))
 
-    return Morphism(
-        Product(a, a), b, fn, model=model_tag, name=f"d[{f.name}]",
-        table_builder=lambda: _difference_table(f),
-    )
+    def build(idx=None):
+        x, y = np.divmod(domain_codes(dom, idx), codec_size(a))
+        fs, fx = codes_at(f, v_add(a, x, y)), codes_at(f, x)
+        return None if fs is None or fx is None else v_sub(b, fs, fx)
+
+    return Morphism(dom, b, fn, model=model_tag, name=f"d[{f.name}]",
+                    table_builder=build)
 
 
 def _int_kinds(space: Space) -> bool:
@@ -160,10 +149,8 @@ class FinDiffModel(DifferenceModel):
         return BoundedInt(-100, 100)
 
     def epsilon(self, f: Morphism) -> Morphism:
-        return Morphism(f.dom, f.cod, f.fn, model=self.tag,
-                        name=f"eps({f.name})", table=f.table,
-                        table_builder=None if f.table is not None
-                        else lambda: tabulate(f))
+        return Morphism(f.dom, f.cod, f.fn, model=self.tag, name=f"eps({f.name})",
+                        table_builder=lambda idx=None: codes_at(f, idx))
 
     def _derivative(self, f: Morphism) -> Morphism:
         self.check_space(f.dom)

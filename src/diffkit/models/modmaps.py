@@ -14,20 +14,17 @@ import random
 from ..errors import NotAdditive
 from ..kernel import (
     DifferenceModel,
-    TABLE_LIMIT,
     compose,
     is_group_homomorphism,
     projection,
 )
-from ..morphisms import Auto, EqualityStrategy, Morphism, tabulate
+from ..morphisms import Auto, EqualityStrategy, Morphism, codes_at, domain_codes
 from ..spaces import (
     BoundedInt,
-    arange_for,
     CyclicGroup,
     Product,
     Space,
     Terminal,
-    codec_size,
     derive_seed,
     format_space,
     scale_elem,
@@ -85,15 +82,11 @@ class ModuleModel(DifferenceModel):
     @staticmethod
     def _scale_primitive(k: int):
         def factory(space: Space) -> Morphism:
-            def build():
-                return v_scale(space, k, arange_for(space))
-
-            n = codec_size(space)
             return Morphism(space, space,
                             lambda x, _s=space: scale_elem(_s, k, x),
                             name=f"x{k}",
-                            table_builder=build if n is not None
-                            and n <= TABLE_LIMIT else None)
+                            table_builder=lambda idx=None: v_scale(
+                                space, k, domain_codes(space, idx)))
 
         return factory
 
@@ -111,16 +104,14 @@ class ModuleModel(DifferenceModel):
     def epsilon(self, f: Morphism) -> Morphism:
         cod = f.cod
 
-        def build():
-            tf = tabulate(f)
+        def build(idx=None):
+            tf = codes_at(f, idx)
             return None if tf is None else v_scale(cod, self.r, tf)
 
-        n = codec_size(f.dom)
         return Morphism(
             f.dom, cod,
             lambda x, _f=f.fn, _c=cod, _r=self.r: scale_elem(_c, _r, _f(x)),
-            model=self.tag, name=f"eps({f.name})",
-            table_builder=build if n is not None and n <= TABLE_LIMIT else None,
+            model=self.tag, name=f"eps({f.name})", table_builder=build,
         )
 
     def _derivative(self, f: Morphism) -> Morphism:

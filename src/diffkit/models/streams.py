@@ -19,18 +19,18 @@ import random
 import numpy as np
 
 from ..errors import ModelRestriction, NotCausal
-from ..kernel import DifferenceModel, TABLE_LIMIT
+from ..kernel import DifferenceModel
 from ..morphisms import (
     DEFAULT_STRATEGY,
     EqualityStrategy,
     LawReport,
     Morphism,
     Sampled,
-    tabulate,
+    codes_at,
+    domain_codes,
 )
 from ..spaces import (
     BoundedInt,
-    arange_for,
     CyclicGroup,
     Product,
     Space,
@@ -73,34 +73,15 @@ def _stream_kinds(space: Space) -> bool:
 
 def truncation(space: Space) -> Morphism:
     """The operator z: head zeroed, tail unchanged."""
-    def build():
-        return v_trunc(space, arange_for(space))
-
-    n = codec_size(space)
     return Morphism(space, space,
                     lambda a, _s=space: truncate_elem(_s, a),
                     name="z",
-                    table_builder=build if n is not None and n <= TABLE_LIMIT
-                    else None)
-
-
-def _stream_diff_table(f: Morphism):
-    a, b = f.dom, f.cod
-    n = codec_size(a)
-    if n is None or codec_size(b) is None or n * n > TABLE_LIMIT:
-        return None
-    tf = tabulate(f)
-    if tf is None:
-        return None
-    idx = np.arange(n * n, dtype=np.int64)
-    x, y = idx // n, idx % n
-    full = v_sub(b, tf[v_add(a, x, y)], tf[x])
-    tail = v_sub(b, tf[v_add(a, x, v_trunc(a, y))], tf[x])
-    return v_splice0(b, full, tail)
+                    table_builder=lambda idx=None: v_trunc(space, domain_codes(space, idx)))
 
 
 def stream_derivative(f: Morphism, model_tag: str) -> Morphism:
     a, b = f.dom, f.cod
+    dom = Product(a, a)
 
     def fn(p, _f=f.fn, _a=a, _b=b):
         x, y = p
@@ -109,8 +90,35 @@ def stream_derivative(f: Morphism, model_tag: str) -> Morphism:
         tail = sub_elem(_b, _f(add_elem(_a, x, truncate_elem(_a, y))), w)
         return splice0_elem(_b, full, tail)
 
-    return Morphism(Product(a, a), b, fn, model=model_tag, name=f"d[{f.name}]",
-                    table_builder=lambda: _stream_diff_table(f))
+    def build(idx=None):
+        x, y = np.divmod(domain_codes(dom, idx), codec_size(a))
+        fx = codes_at(f, x)
+        fs = codes_at(f, v_add(a, x, y))
+        ft = codes_at(f, v_add(a, x, v_trunc(a, y)))
+        if fx is None or fs is None or ft is None:
+            return None
+        return v_splice0(b, v_sub(b, fs, fx), v_sub(b, ft, fx))
+
+    return Morphism(dom, b, fn, model=model_tag, name=f"d[{f.name}]",
+                    table_builder=build)
+
+
+def _subject_builder(space: StreamPrefix, k: int, p, q):
+    """Codes of a random subject on Stream(Z_n, K): the digits of a code are
+    a[0] (most significant) .. a[K-1], each output digit taken mod n."""
+    n, width = space.base.n, space.length
+
+    def build(idx=None):
+        codes = domain_codes(space, idx)
+        a = [(codes // n ** (width - 1 - j)) % n for j in range(width)]
+        out = (k * a[0]) % n
+        for prev, v in zip(a, a[1:]):
+            cur = p[0] + p[1] * v + p[2] * v * v
+            lag = q[1] * prev + q[2] * prev * prev
+            out = out * n + (cur + lag) % n
+        return out
+
+    return build
 
 
 def simple_stream_derivative(f: Morphism) -> Morphism:
@@ -249,16 +257,14 @@ class StreamModel(DifferenceModel):
     def epsilon(self, f: Morphism) -> Morphism:
         cod = f.cod
 
-        def build():
-            tf = tabulate(f)
+        def build(idx=None):
+            tf = codes_at(f, idx)
             return None if tf is None else v_trunc(cod, tf)
 
-        n = codec_size(f.dom)
         return Morphism(
             f.dom, cod,
             lambda x, _f=f.fn, _c=cod: truncate_elem(_c, _f(x)),
-            model=self.tag, name=f"eps({f.name})",
-            table_builder=build if n is not None and n <= TABLE_LIMIT else None,
+            model=self.tag, name=f"eps({f.name})", table_builder=build,
         )
 
     def _derivative(self, f: Morphism) -> Morphism:
@@ -298,7 +304,11 @@ class StreamModel(DifferenceModel):
                     res.append(add_elem(_b, cur, lag))
                 return tuple(res)
 
-            out.append(Morphism(space, space, fn, model=self.tag, name=f"caus{i}"))
+            build = None
+            if isinstance(base, CyclicGroup):
+                build = _subject_builder(space, k, p, q)
+            out.append(Morphism(space, space, fn, model=self.tag, name=f"caus{i}",
+                                table_builder=build))
         return out
 
     # -- model-specific characterization

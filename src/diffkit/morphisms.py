@@ -1,17 +1,20 @@
 """Morphisms, extensional equality, and law reports.
 
 A Morphism is a total evaluation procedure between two spaces plus
-bookkeeping (model tag, display name, optional combinator-term
-provenance). Equality of morphisms is extensional over a finite test
-set: exhaustive when the domain enumerates under a configured bound,
-otherwise seeded sampling.
+bookkeeping (model tag, display name). Equality of morphisms is
+extensional over a finite test set: exhaustive when the domain
+enumerates under a configured bound, otherwise seeded sampling.
 
-Morphisms over group-closed finite spaces may carry an integer lookup
-table mirroring their evaluation procedure (`table[i] == encode(cod,
-fn(decode(dom, i)))`). Tables let exhaustive comparisons over large
-product domains run as vectorized array operations; closure evaluation
-stays the semantic ground truth and the two are checked against each
-other in the test suite.
+Morphisms between spaces with an integer codec may also evaluate on
+codes: `codes_at(m, idx)` gives the codomain codes of `m` at the domain
+codes `idx` (`codes[k] == encode(cod, fn(decode(dom, idx[k])))`).
+Domains that fit TABLE_LIMIT are tabulated once and indexed; larger
+ones are evaluated at just the requested codes, so a composite whose
+own domain is small reads big inner maps such as second derivatives
+without filling their whole domains. Code evaluation lets exhaustive
+comparisons over large product stages run as vectorized array
+operations; closure evaluation stays the semantic ground truth and the
+two are checked against each other in the test suite.
 """
 
 from __future__ import annotations
@@ -21,10 +24,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainMismatch, SizeExceeded
+from .errors import DomainMismatch, InvalidArgument, SizeExceeded
 from .spaces import (
     DEFAULT_ENUM_BOUND,
     Space,
+    arange_for,
     codec_size,
     decode,
     derive_seed,
@@ -51,11 +55,14 @@ class Morphism:
     """Morphism identity is object identity; equality of morphisms is
     extensional and goes through `morphisms_equal`.
 
-    `table` caches the integer-coded lookup table; `table_builder` is a
-    deferred recipe for it. Builders run only when an exhaustive
-    comparison actually needs the table — constructing eagerly would
-    evaluate closures over whole mid-size domains that a sampled check
-    never visits.
+    `table` caches the integer-coded lookup table. `table_builder(idx=None)`
+    returns the codomain codes at the domain codes `idx` (None: the whole
+    domain in order), or None when it cannot; read it through `codes_at`.
+    Builders run only when an exhaustive comparison actually needs codes,
+    because a sampled check never visits most of a mid-size domain.
+    `derivatives` memoizes `d[self]` per difference model, so repeated
+    axiom instantiations share one derivative and its table, and the memo
+    dies with the morphism.
     """
 
     dom: Space
@@ -64,8 +71,8 @@ class Morphism:
     model: Optional[str] = None
     name: str = "f"
     table: Optional[np.ndarray] = field(default=None, repr=False)
-    provenance: Optional[object] = field(default=None, repr=False)
     table_builder: Optional[Callable] = field(default=None, repr=False)
+    derivatives: dict = field(default_factory=dict, init=False, repr=False)
 
     def __call__(self, x):
         return self.fn(x)
@@ -84,12 +91,22 @@ def from_table(dom: Space, cod: Space, table: np.ndarray, model=None, name="tabl
     return Morphism(dom, cod, fn, model=model, name=name, table=tbl)
 
 
+def domain_codes(space: Space, idx: Optional[np.ndarray]) -> np.ndarray:
+    """`idx` itself, or every code of `space` in order when it is None."""
+    return arange_for(space) if idx is None else idx
+
+
+def _closure_codes(m: Morphism, codes) -> np.ndarray:
+    return np.fromiter((encode(m.cod, m.fn(decode(m.dom, int(i)))) for i in codes),
+                       dtype=np.int64, count=len(codes))
+
+
 def tabulate(m: Morphism, limit: int = TABLE_LIMIT) -> Optional[np.ndarray]:
     """Force (and cache) the index table of `m`, if feasible.
 
-    A deferred builder is preferred; as a last resort the closure is
-    evaluated over the whole domain, which only exhaustive comparison
-    paths (already gated by their bound) should trigger.
+    The builder is preferred and dropped once the table is cached, which
+    frees the sub-morphisms it holds; as a last resort the closure is
+    evaluated over the whole domain.
     """
     if m.table is not None:
         return m.table
@@ -102,11 +119,28 @@ def tabulate(m: Morphism, limit: int = TABLE_LIMIT) -> Optional[np.ndarray]:
         if tbl is not None:
             m.table = tbl
             return tbl
-    tbl = np.fromiter(
-        (encode(m.cod, m.fn(decode(m.dom, i))) for i in range(n)), dtype=np.int64, count=n
-    )
-    m.table = tbl
-    return tbl
+    m.table = _closure_codes(m, range(n))
+    return m.table
+
+
+def codes_at(m: Morphism, idx: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
+    """Codomain codes of `m` at the domain codes `idx` (None: the whole domain).
+
+    A domain that fits TABLE_LIMIT is tabulated once and indexed. A larger
+    one is evaluated at `idx` only: through the builder, or, for a leaf
+    without one, by the closure once per distinct code. None when either
+    side of `m` has no int64 codec.
+    """
+    tbl = m.table if m.table is not None else tabulate(m)
+    if tbl is not None:
+        return tbl if idx is None else tbl[idx]
+    if table_codec_size(m.dom) is None or table_codec_size(m.cod) is None:
+        return None
+    # both sides have codecs, so the domain is over TABLE_LIMIT
+    if m.table_builder is not None:
+        return m.table_builder(idx)
+    codes, inverse = np.unique(domain_codes(m.dom, idx), return_inverse=True)
+    return _closure_codes(m, codes)[inverse]
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +160,7 @@ class Sampled:
 
     def __post_init__(self):
         if self.count < 1:
-            raise ValueError("sample count must be positive")
+            raise InvalidArgument("sample count must be positive")
 
     def describe(self) -> str:
         return f"sampled({self.count},seed={self.seed})"
@@ -142,6 +176,10 @@ class Auto:
 
     count: int = 256
     seed: int = 0
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise InvalidArgument("sample count must be positive")
 
     def describe(self) -> str:
         return f"auto({self.count},seed={self.seed})"

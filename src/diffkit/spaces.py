@@ -34,7 +34,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import NotEnumerable, SizeExceeded, TypeMismatch
+from .errors import InvalidArgument, NotEnumerable, SizeExceeded, TypeMismatch
 
 DEFAULT_ENUM_BOUND = 100_000
 REAL_SAMPLE_LO = -10.0
@@ -52,7 +52,7 @@ class CyclicGroup(Space):
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("cyclic group order must be positive")
+            raise InvalidArgument("cyclic group order must be positive")
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class BoundedInt(Space):
 
     def __post_init__(self):
         if self.lo > self.hi:
-            raise ValueError("empty integer range")
+            raise InvalidArgument("empty integer range")
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class Real(Space):
 
     def __post_init__(self):
         if self.dim < 1:
-            raise ValueError("dimension must be positive")
+            raise InvalidArgument("dimension must be positive")
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ class StreamPrefix(Space):
 
     def __post_init__(self):
         if self.length < 1:
-            raise ValueError("prefix length must be positive")
+            raise InvalidArgument("prefix length must be positive")
 
 
 @dataclass(frozen=True)
@@ -104,16 +104,6 @@ class FunctionSpace(Space):
 
 
 TERMINAL = Terminal()
-
-
-def product(*spaces: Space) -> Space:
-    """Right-nested product of one or more spaces."""
-    if not spaces:
-        return TERMINAL
-    out = spaces[-1]
-    for s in reversed(spaces[:-1]):
-        out = Product(s, out)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -255,41 +245,6 @@ def elements_equal(space: Space, a, b, abs_tol: float = 0.0, rel_tol: float = 0.
             space.right, a[1], b[1], abs_tol, rel_tol
         )
     raise TypeMismatch(f"unknown space {space!r}")
-
-
-def is_member(space: Space, a) -> bool:
-    if isinstance(space, CyclicGroup):
-        return isinstance(a, int) and 0 <= a < space.n
-    if isinstance(space, BoundedInt):
-        return isinstance(a, int)
-    if isinstance(space, Real):
-        return (
-            isinstance(a, tuple)
-            and len(a) == space.dim
-            and all(isinstance(x, (int, float)) for x in a)
-        )
-    if isinstance(space, StreamPrefix):
-        return (
-            isinstance(a, tuple)
-            and len(a) == space.length
-            and all(is_member(space.base, x) for x in a)
-        )
-    if isinstance(space, Product):
-        return (
-            isinstance(a, tuple)
-            and len(a) == 2
-            and is_member(space.left, a[0])
-            and is_member(space.right, a[1])
-        )
-    if isinstance(space, Terminal):
-        return a == ()
-    if isinstance(space, FunctionSpace):
-        return (
-            isinstance(a, tuple)
-            and len(a) == space_size(space.arg)
-            and all(is_member(space.res, x) for x in a)
-        )
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +401,7 @@ def _draw(space: Space, rng: random.Random):
 def sample_space(space: Space, count: int, seed: int) -> list:
     """Deterministic sample of `count` elements (uniform per component)."""
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise InvalidArgument("count must be >= 1")
     rng = random.Random(derive_seed(seed, "sample", format_space(space)))
     return [_draw(space, rng) for _ in range(count)]
 
@@ -590,7 +545,7 @@ class _SpaceParser:
         self.pos = 0
 
     def error(self, msg: str):
-        raise ValueError(f"bad space syntax: {msg} at {self.pos} in {self.text!r}")
+        raise InvalidArgument(f"bad space syntax: {msg} at {self.pos} in {self.text!r}")
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():

@@ -404,9 +404,7 @@ def interpret(
     space: Optional[Space] = None,
     dom: Optional[Space] = None,
 ) -> Morphism:
-    m = interpret_typed(typecheck(t, model, space, dom), model)
-    m.provenance = t
-    return m
+    return interpret_typed(typecheck(t, model, space, dom), model)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 
 import jsonschema
+import pytest
 
 from diffkit.cli import REPORT_SCHEMA, main
 
@@ -63,6 +64,21 @@ def test_usage_error_exits_two(capsys):
     assert main(["check", "--model", "nosuch"]) == 2
     assert main(["no-such-command"]) == 2
     assert main(["check", "--model", "findiff", "--axioms", "CdC99"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--space", "Z0"],
+    ["check", "--space", "Int[-100,100]", "--samples", "0"],
+    ["lambda-check", "--max-size", "1"],
+    ["eval", "--term", "(prim sq)", "--at", "1e400"],
+    ["check", "--subjects", "0"],
+])
+def test_bad_input_exits_two(capsys, argv):
+    # exit 1 means "law violated": a crash or an empty run must not say so
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_replay_determinism(capsys):

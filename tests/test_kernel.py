@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from diffkit.kernel import (
@@ -30,6 +33,7 @@ from diffkit.spaces import (
     CyclicGroup,
     Product,
     Real,
+    StreamPrefix,
     TERMINAL,
 )
 
@@ -212,3 +216,18 @@ def test_epsilon_pairing_compatibility():
     lhs = fd.epsilon(pair(f, g))
     rhs = pair(fd.epsilon(f), fd.epsilon(g))
     assert morphisms_equal(lhs, rhs, EX).passed
+
+
+@pytest.mark.parametrize("spec, space", [
+    ("findiff", Z7),
+    ("streams:k=4", StreamPrefix(Z3, 4)),
+])
+def test_derivative_memo_dies_with_its_morphism(spec, space):
+    model = get_model(spec)
+    subjects = model.random_subjects(space, 5, seed=2)
+    firsts = [model.derivative(f) for f in subjects]
+    assert all(model.derivative(f) is d for f, d in zip(subjects, firsts))
+    refs = [weakref.ref(f) for f in subjects]
+    del subjects, firsts
+    gc.collect()
+    assert [r() for r in refs] == [None] * 5

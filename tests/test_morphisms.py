@@ -10,6 +10,7 @@ from diffkit.morphisms import (
     Exhaustive,
     Morphism,
     Sampled,
+    codes_at,
     from_table,
     morphisms_equal,
     strategy_for,
@@ -17,12 +18,18 @@ from diffkit.morphisms import (
 )
 from diffkit.spaces import (
     CyclicGroup,
+    Product,
     Real,
+    StreamPrefix,
+    codec_size,
+    decode,
     encode,
     enumerate_space,
     sample_space,
+    zero_elem,
 )
 
+Z3 = CyclicGroup(3)
 Z5 = CyclicGroup(5)
 Z7 = CyclicGroup(7)
 EX = EqualityStrategy(Exhaustive())
@@ -86,25 +93,73 @@ def test_auto_resolves_per_domain():
     assert isinstance(auto.resolve(CyclicGroup(2)).mode, Exhaustive)
 
 
+STREAM4 = StreamPrefix(Z3, 4)
+
+
 def test_tables_mirror_closures():
-    # the vectorized backend must agree with plain evaluation
-    fd = get_model("findiff")
-    f, g = fd.random_subjects(Z7, 2, seed=11)
-    built = [
-        compose(g, f),
-        pair(f, g),
-        add(f, g),
-        fd.derivative(f),
-        fd.derivative(fd.derivative(f)),
-        fd.epsilon(g),
-        zero_map(Z7, Z7),
-        projection(0, Z7, Z5),
-    ]
-    for m in built:
-        tbl = tabulate(m)
-        assert tbl is not None
-        for x in sample_space(m.dom, 25, seed=5):
-            assert encode(m.cod, m(x)) == int(tbl[encode(m.dom, x)])
+    # the vectorized backend must agree with plain evaluation, on tables
+    # and on domains too big to tabulate (d[d[f]] on Stream(Z3,4))
+    for spec, space in [("findiff", Z7), ("streams:k=4", STREAM4),
+                        ("module:r=2", Product(Z5, Z5))]:
+        model = get_model(spec)
+        f, g = model.random_subjects(space, 2, seed=11)
+        d = model.derivative
+        x, y = projection(0, space, space), projection(1, space, space)
+        zero = zero_map(Product(space, space), space)
+        built = [
+            f,
+            compose(g, f),
+            pair(f, g),
+            add(f, g),
+            d(f),
+            d(d(f)),
+            model.epsilon(g),
+            model.epsilon(identity(space)),
+            compose(d(d(f)), pair(pair(x, zero), pair(zero, y))),
+            zero_map(space, space),
+            projection(0, space, Z5),
+        ]
+        for m in built:
+            xs = sample_space(m.dom, 25, seed=5)
+            codes = codes_at(m, np.array([encode(m.dom, p) for p in xs], dtype=np.int64))
+            assert codes is not None
+            assert [encode(m.cod, m(p)) for p in xs] == codes.tolist()
+
+
+def test_codes_at_on_untabulable_domains():
+    # a second derivative (through its builder) and a leaf without one
+    # (through its closure), both over TABLE_LIMIT, at codes with repeats
+    model = get_model("streams:k=4")
+    (f,) = model.random_subjects(STREAM4, 1, seed=3)
+    d2 = model.derivative(model.derivative(f))  # 81^4 points
+    long = StreamPrefix(Z3, 16)  # 3^16 points
+    leaf = Morphism(long, Z3, lambda a: (a[0] + 2 * a[-1] * a[7]) % 3)
+    for m in (d2, leaf):
+        assert tabulate(m) is None
+        idx = np.random.default_rng(0).integers(0, codec_size(m.dom), 200)
+        idx = np.concatenate([idx, idx[::3]])
+        want = [encode(m.cod, m.fn(decode(m.dom, int(i)))) for i in idx]
+        assert codes_at(m, idx).tolist() == want
+        assert m.table is None
+
+
+def test_composite_over_second_derivative_never_calls_its_closure():
+    model = get_model("streams:k=4")
+    (f,) = model.random_subjects(STREAM4, 1, seed=5)
+    d2 = model.derivative(model.derivative(f))
+    calls = []
+    closure = d2.fn
+    d2.fn = lambda p: calls.append(p) or closure(p)
+    stage = Product(STREAM4, STREAM4)  # 6,561 points
+    x, y = projection(0, STREAM4, STREAM4), projection(1, STREAM4, STREAM4)
+    zero = zero_map(stage, STREAM4)
+    m = compose(d2, pair(pair(x, zero), pair(zero, y)))
+    tbl = tabulate(m)
+    assert calls == []
+    z = zero_elem(STREAM4)
+    for p in sample_space(stage, 20, seed=1):
+        want = closure(((p[0], z), (z, p[1])))
+        assert int(tbl[encode(stage, p)]) == encode(m.cod, want)
 
 
 def test_from_table_round_trip():
