@@ -347,6 +347,8 @@ def _cmd_check(args) -> int:
                    if a not in AXIOM_IDS and a not in ("CA", "CAD")]
         if unknown:
             raise DiffkitError(f"unknown axiom ids: {unknown}")
+        if not axioms:
+            raise InvalidArgument("--axioms names no axiom")
     results = run_check(model, space, axioms, args.subjects, seed, strat)
     return _emit(args, "check", model.tag, seed, results, started)
 

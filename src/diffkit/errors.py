@@ -33,10 +33,6 @@ class ModelRestriction(DiffkitError):
     """The morphism or space is not legal in the chosen model."""
 
 
-class NoNegation(DiffkitError):
-    """A difference formula needs subtraction but the space has none."""
-
-
 class NotAdditive(DiffkitError):
     """The module-map model only accepts additive morphisms."""
 

@@ -38,14 +38,10 @@ __all__ = [
     "load_table_primitive",
 ]
 
-_CACHE: dict[str, DifferenceModel] = {}
-
 
 def get_model(text: str) -> DifferenceModel:
-    """Resolve `findiff | smooth | module:r=<int> | streams:k=<int>`."""
+    """A new model for `findiff | smooth | module:r=<int> | streams:k=<int>`."""
     spec = text.strip()
-    if spec in _CACHE:
-        return _CACHE[spec]
     if spec == "findiff":
         model: DifferenceModel = FinDiffModel()
     elif spec == "smooth":
@@ -62,7 +58,6 @@ def get_model(text: str) -> DifferenceModel:
         model = StreamModel(int(m.group(1)) if m.group(1) else 16)
     else:
         raise ModelRestriction(f"unknown model {text!r}")
-    _CACHE[spec] = model
     return model
 
 

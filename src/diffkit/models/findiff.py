@@ -11,7 +11,7 @@ import random
 
 import numpy as np
 
-from ..errors import ModelRestriction, NoNegation
+from ..errors import ModelRestriction, TypeMismatch
 from ..kernel import DifferenceModel
 from ..morphisms import TABLE_LIMIT, Morphism, codes_at, domain_codes, from_table
 from ..spaces import (
@@ -25,7 +25,6 @@ from ..spaces import (
     codec_size,
     derive_seed,
     format_space,
-    has_negation,
     sub_elem,
     v_add,
     v_sub,
@@ -33,8 +32,6 @@ from ..spaces import (
 
 
 def difference_derivative(f: Morphism, model_tag: str) -> Morphism:
-    if not has_negation(f.cod):
-        raise NoNegation(f"difference derivative needs subtraction on {f.cod!r}")
     a, b = f.dom, f.cod
     dom = Product(a, a)
 
@@ -104,7 +101,7 @@ def _unflatten(space: Space, vals, pos=0):
         return (l, r), pos
     if isinstance(space, Terminal):
         return (), pos
-    raise NoNegation(f"cannot build values in {space!r}")
+    raise TypeMismatch(f"cannot build values in {space!r}")
 
 
 def _poly_subject(space: Space, rng: random.Random, name: str) -> Morphism:

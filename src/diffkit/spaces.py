@@ -20,11 +20,17 @@ Element representation is plain Python data keyed by the space shape:
 
 Spaces whose carrier is finite and closed under the group operations
 (everything except BoundedInt and Real) additionally get an integer
-codec, used by the table backend in `morphisms`.
+codec, used by the table backend in `morphisms`. A code is a mixed-radix
+number over the CyclicGroup leaves, most significant first (`radices`;
+Terminal has radix 1). `v_add`, `v_sub`, `v_neg` and `v_scale` act on
+each digit modulo its radix: by a gather from a Cayley table built once
+per space (n x n or length n for n codes) while it holds at most
+CAYLEY_LIMIT entries, else by the digit-wise kernel on the codes.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -143,19 +149,6 @@ def add_elem(space: Space, a, b):
     raise TypeMismatch(f"unknown space {space!r}")
 
 
-def has_negation(space: Space) -> bool:
-    """All shipped kinds are abelian groups; the hook stays for future kinds."""
-    if isinstance(space, (CyclicGroup, BoundedInt, Real, Terminal)):
-        return True
-    if isinstance(space, StreamPrefix):
-        return has_negation(space.base)
-    if isinstance(space, Product):
-        return has_negation(space.left) and has_negation(space.right)
-    if isinstance(space, FunctionSpace):
-        return has_negation(space.res)
-    return False
-
-
 def neg_elem(space: Space, a):
     if isinstance(space, CyclicGroup):
         return (-a) % space.n
@@ -251,6 +244,7 @@ def elements_equal(space: Space, a, b, abs_tol: float = 0.0, rel_tol: float = 0.
 # enumeration, codec, sampling
 
 
+@functools.lru_cache(maxsize=1024)
 def codec_size(space: Space) -> Optional[int]:
     """Carrier size for spaces closed under the group ops; None otherwise.
 
@@ -407,82 +401,95 @@ def sample_space(space: Space, count: int, seed: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# vectorized index arithmetic for the table backend
+# group operations on codes: Cayley-table gathers over a digit-wise kernel
 
 _I64 = np.int64
 
+# Largest Cayley table, in entries: 8 MB of int64. Bigger spaces, such as
+# Stream(Z3,8) for the binary tables, use the digit-wise kernel directly.
+CAYLEY_LIMIT = 1 << 20
+
+_BINARY = {"add": np.add, "sub": np.subtract}
+
+
+@functools.lru_cache(maxsize=1024)
+def radices(space: Space) -> tuple[int, ...]:
+    """Digit radices of the codes of a codec space, most significant first."""
+    if isinstance(space, CyclicGroup):
+        return (space.n,)
+    if isinstance(space, Terminal):
+        return (1,)
+    if isinstance(space, Product):
+        return radices(space.left) + radices(space.right)
+    if isinstance(space, StreamPrefix):
+        return radices(space.base) * space.length
+    if isinstance(space, FunctionSpace) and codec_size(space.arg) is not None:
+        return radices(space.res) * codec_size(space.arg)
+    raise NotEnumerable(f"no integer codec for {space!r}")
+
+
+def _digitwise(space: Space, op, *codes: np.ndarray) -> np.ndarray:
+    """Codes whose every digit is `op` of the operands' digits, mod its radix."""
+    rest = list(codes)
+    out = np.zeros(np.broadcast_shapes(*(np.shape(c) for c in codes)), dtype=_I64)
+    stride = 1
+    for r in reversed(radices(space)):
+        digits = []
+        for k, c in enumerate(rest):
+            rest[k], d = np.divmod(c, r)
+            digits.append(d)
+        t = op(*digits)
+        t %= r
+        t *= stride
+        out += t
+        stride *= r
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _cayley(space: Space, op: str, r: int = 0) -> Optional[np.ndarray]:
+    """Read-only table of an operation on the codes of `space`: n x n for
+    "add" and "sub", length n for "scale" by `r`; None over the limit."""
+    n = math.prod(radices(space))
+    codes = np.arange(n, dtype=_I64)
+    if op == "scale":
+        if n > CAYLEY_LIMIT:
+            return None
+        table = _digitwise(space, lambda a: r * a, codes)
+    else:
+        if n * n > CAYLEY_LIMIT:
+            return None
+        table = _digitwise(space, _BINARY[op], codes[:, None], codes[None, :])
+    table.setflags(write=False)
+    return table
+
+
+def _binary(space: Space, op: str, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    table = _cayley(space, op)
+    if table is None:
+        return _digitwise(space, _BINARY[op], i, j)
+    # gather into the fresh flat-index array: a new result array costs page
+    # faults that take longer than the gather; "wrap" writes it unbuffered
+    k = np.multiply(i, table.shape[1], dtype=_I64)
+    k += j
+    return table.take(k, out=k, mode="wrap")
+
 
 def v_add(space: Space, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    if isinstance(space, CyclicGroup):
-        return (i + j) % space.n
-    if isinstance(space, Terminal):
-        return np.zeros_like(i)
-    if isinstance(space, Product):
-        r = codec_size(space.right)
-        return v_add(space.left, i // r, j // r) * r + v_add(space.right, i % r, j % r)
-    if isinstance(space, StreamPrefix):
-        b = codec_size(space.base)
-        out = np.zeros_like(i)
-        stride = 1
-        for _ in range(space.length):
-            out += v_add(space.base, (i // stride) % b, (j // stride) % b) * stride
-            stride *= b
-        return out
-    if isinstance(space, FunctionSpace):
-        r = codec_size(space.res)
-        out = np.zeros_like(i)
-        stride = 1
-        for _ in range(space_size(space.arg)):
-            out += v_add(space.res, (i // stride) % r, (j // stride) % r) * stride
-            stride *= r
-        return out
-    raise NotEnumerable(f"no integer codec for {space!r}")
-
-
-def v_neg(space: Space, i: np.ndarray) -> np.ndarray:
-    if isinstance(space, CyclicGroup):
-        return (-i) % space.n
-    if isinstance(space, Terminal):
-        return np.zeros_like(i)
-    if isinstance(space, Product):
-        r = codec_size(space.right)
-        return v_neg(space.left, i // r) * r + v_neg(space.right, i % r)
-    if isinstance(space, (StreamPrefix, FunctionSpace)):
-        base = space.base if isinstance(space, StreamPrefix) else space.res
-        width = space.length if isinstance(space, StreamPrefix) else space_size(space.arg)
-        b = codec_size(base)
-        out = np.zeros_like(i)
-        stride = 1
-        for _ in range(width):
-            out += v_neg(base, (i // stride) % b) * stride
-            stride *= b
-        return out
-    raise NotEnumerable(f"no integer codec for {space!r}")
+    return _binary(space, "add", i, j)
 
 
 def v_sub(space: Space, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    return v_add(space, i, v_neg(space, j))
+    return _binary(space, "sub", i, j)
 
 
 def v_scale(space: Space, r: int, i: np.ndarray) -> np.ndarray:
-    if isinstance(space, CyclicGroup):
-        return (r * i) % space.n
-    if isinstance(space, Terminal):
-        return np.zeros_like(i)
-    if isinstance(space, Product):
-        w = codec_size(space.right)
-        return v_scale(space.left, r, i // w) * w + v_scale(space.right, r, i % w)
-    if isinstance(space, (StreamPrefix, FunctionSpace)):
-        base = space.base if isinstance(space, StreamPrefix) else space.res
-        width = space.length if isinstance(space, StreamPrefix) else space_size(space.arg)
-        b = codec_size(base)
-        out = np.zeros_like(i)
-        stride = 1
-        for _ in range(width):
-            out += v_scale(base, r, (i // stride) % b) * stride
-            stride *= b
-        return out
-    raise NotEnumerable(f"no integer codec for {space!r}")
+    table = _cayley(space, "scale", r)
+    return _digitwise(space, lambda a: r * a, i) if table is None else table.take(i)
+
+
+def v_neg(space: Space, i: np.ndarray) -> np.ndarray:
+    return v_scale(space, -1, i)
 
 
 def v_trunc(space: Space, i: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ import jsonschema
 import pytest
 
 from diffkit.cli import REPORT_SCHEMA, main
+from diffkit.models import get_model
 
 
 def run(capsys, *argv):
@@ -72,6 +73,8 @@ def test_usage_error_exits_two(capsys):
     ["lambda-check", "--max-size", "1"],
     ["eval", "--term", "(prim sq)", "--at", "1e400"],
     ["check", "--subjects", "0"],
+    ["check", "--axioms", ","],
+    ["check", "--axioms", ""],
 ])
 def test_bad_input_exits_two(capsys, argv):
     # exit 1 means "law violated": a crash or an empty run must not say so
@@ -107,6 +110,8 @@ def test_table_primitive_loading(capsys, tmp_path):
                     "--prim", f"rot={prim}")
     assert code == 0
     assert out.strip() == "0"
+    # the registration belongs to that invocation's model only
+    assert "rot" not in get_model("findiff").primitive_names()
 
 
 def test_algebra_check_with_nu_file(capsys, tmp_path):

@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffkit.errors import NotEnumerable, SizeExceeded
 from diffkit.spaces import (
+    CAYLEY_LIMIT,
     BoundedInt,
     CyclicGroup,
     FunctionSpace,
@@ -20,9 +22,15 @@ from diffkit.spaces import (
     neg_elem,
     parse_space,
     sample_space,
+    scale_elem,
     space_size,
     splice0_elem,
+    sub_elem,
     truncate_elem,
+    v_add,
+    v_neg,
+    v_scale,
+    v_sub,
     zero_elem,
 )
 
@@ -138,3 +146,37 @@ def test_space_syntax_rejects_garbage():
         parse_space("Z7 x")
     with pytest.raises(ValueError):
         parse_space("Q^2")
+
+
+# Codec spaces on both sides of CAYLEY_LIMIT; (Z2 x (Z3 x Z5)) has distinct
+# radices, so a digit order mixed up anywhere shows there.
+_TABLED = ["Z1", "Z7", "(Z5 x Z5)", "((Z5 x Z5) x (Z5 x Z5))", "(1 x Z4)",
+           "Stream(Z3,4)", "(Z2 x (Z3 x Z5))"]
+_OVER_LIMIT = ["Stream(Z3,8)", "(Stream(Z3,4) x Stream(Z3,4))"]
+_CODEC_SPACES = [parse_space(t) for t in _TABLED + _OVER_LIMIT] + [FunctionSpace(Z2, Z3)]
+
+
+def test_cayley_limit_splits_the_differential_spaces():
+    assert all(codec_size(parse_space(t)) ** 2 <= CAYLEY_LIMIT for t in _TABLED)
+    assert all(codec_size(parse_space(t)) ** 2 > CAYLEY_LIMIT for t in _OVER_LIMIT)
+
+
+@pytest.mark.parametrize("space", _CODEC_SPACES, ids=format_space)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_code_arithmetic_matches_element_algebra(space, data):
+    n = codec_size(space)
+    i = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=16))
+    j = data.draw(st.lists(st.integers(0, n - 1), min_size=len(i), max_size=len(i)))
+    xs = [decode(space, c) for c in i]
+    ys = [decode(space, c) for c in j]
+    ci, cj = np.array(i, dtype=np.int64), np.array(j, dtype=np.int64)
+
+    def codes(op, *args):
+        return [encode(space, op(space, *a)) for a in zip(*args)]
+
+    assert v_add(space, ci, cj).tolist() == codes(add_elem, xs, ys)
+    assert v_sub(space, ci, cj).tolist() == codes(sub_elem, xs, ys)
+    assert v_neg(space, ci).tolist() == codes(neg_elem, xs)
+    for r in (-2, 0, 1, 3):
+        assert v_scale(space, r, ci).tolist() == codes(scale_elem, [r] * len(xs), xs)
