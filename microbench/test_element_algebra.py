@@ -8,11 +8,21 @@ shared machine measure the machine more than the code.
 import numpy as np
 import pytest
 
-from diffkit.spaces import add_elem, codec_size, decode, parse_space, v_add, v_sub
+from diffkit.spaces import (
+    add_elem,
+    codec_size,
+    decode,
+    parse_space,
+    sample_space,
+    v_add,
+    v_sub,
+)
 
 Z5xZ5 = parse_space("(Z5 x Z5)")
 Z5x4 = parse_space("((Z5 x Z5) x (Z5 x Z5))")
 PAIRS = 390_625
+STREAM = parse_space("Stream(Z3,8)")
+INT4 = parse_space("(Int[-9,9] x (Int[-9,9] x (Int[-9,9] x (Int[-9,9] x Int[-9,9]))))")
 
 
 def _codes(space, seed):
@@ -40,3 +50,11 @@ def test_v_add(benchmark):
 def test_v_sub(benchmark):
     i, j = _codes(Z5x4, 1)
     assert len(benchmark(v_sub, Z5x4, i, j)) == PAIRS
+
+
+@pytest.mark.parametrize("space", [STREAM, INT4], ids=["Stream(Z3,8)", "4-deep Int product"])
+@pytest.mark.benchmark(group="add_elem per pair")
+def test_add_elem_nested(benchmark, space):
+    pairs = list(zip(sample_space(space, 10_000, 1), sample_space(space, 10_000, 2)))
+    out = benchmark(lambda: [add_elem(space, a, b) for a, b in pairs])
+    assert len(out) == len(pairs)

@@ -83,7 +83,6 @@ from .monad import (
     mu,
     phi,
     phi_inv,
-    set_oracle_mode,
     sharp,
 )
 from .morphisms import (
@@ -95,7 +94,6 @@ from .morphisms import (
     Sampled,
     from_table,
     morphisms_equal,
-    strategy_for,
 )
 from .spaces import (
     BoundedInt,

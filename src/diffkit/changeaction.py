@@ -89,7 +89,6 @@ def check_change_action(
     pairs.append(("plus<0,x> = x", compose(ca.plus, pair(zd, d1)), d1))
 
     # CA.1: associativity over delta^3
-    dddd = Product(D, dd)
     x = projection(0, D, dd)
     y = compose(projection(0, D, D), projection(1, D, dd))
     z = compose(projection(1, D, D), projection(1, D, dd))
@@ -103,7 +102,6 @@ def check_change_action(
     pairs.append(("x (+) 0 = x", compose(ca.oplus, pair(a1, za)), a1))
 
     # CA.2: action associativity over A x delta^2
-    add_stage = Product(A, dd)
     xa = projection(0, A, dd)
     da = compose(projection(0, D, D), projection(1, A, dd))
     db = compose(projection(1, D, D), projection(1, A, dd))
@@ -148,15 +146,12 @@ def check_cad_derivative(
     pairs = []
 
     # CAD.1 over A x dA: f(x (+) y) = f(x) (+) df(x, y)
-    st = Product(A, DA)
     x = projection(0, A, DA)
-    y = projection(1, A, DA)
     lhs = compose(f, ca_a.oplus)
     rhs = compose(ca_b.oplus, pair(compose(f, x), df))
     pairs.append(("CAD1", lhs, rhs))
 
     # CAD.2 over A x dA x dA: df(x, y+z) = df(x,y) + df(x (+) y, z)
-    st2 = Product(A, Product(DA, DA))
     x2 = projection(0, A, Product(DA, DA))
     y2 = compose(projection(0, DA, DA), projection(1, A, Product(DA, DA)))
     z2 = compose(projection(1, DA, DA), projection(1, A, Product(DA, DA)))

@@ -15,11 +15,10 @@ import math
 import os
 import sys
 import time
-from typing import Optional
 
 from .changeaction import check_cad_derivative, check_change_action, induced_action
 from .errors import DiffkitError, InvalidArgument
-from .kernel import AXIOM_IDS, DifferenceModel, check_axiom, check_flatness
+from .kernel import AXIOM_IDS, DifferenceModel, check_axiom, check_flatness, pool_report
 from .lambda_closed import run_lambda_suite
 from .models import get_model, load_table_primitive
 from .monad import (
@@ -250,6 +249,15 @@ def _resolve_seed(args) -> int:
     return args.seed
 
 
+def _setup(args):
+    """Model (with any --prim loaded), space, seed and strategy of a suite."""
+    model = get_model(args.model)
+    _load_prims(model, args)
+    space = parse_space(args.space) if args.space else model.default_space
+    seed = _resolve_seed(args)
+    return model, space, seed, _strategy(args, seed)
+
+
 def _load_prims(model: DifferenceModel, args):
     for spec in getattr(args, "prim", None) or []:
         name, _, path = spec.partition("=")
@@ -309,36 +317,24 @@ def run_check(
             continue
         if ax == "CAD":
             ca = induced_action(model, space)
-            agg: Optional[LawReport] = None
-            for f in pool:
-                rep = check_cad_derivative(f, model.derivative(f), ca, ca, strat,
-                                           model.tag)
-                agg = _merge(agg, rep, len(pool))
-            if agg is not None:
-                results.append(agg)
+            results.append(pool_report(
+                pool, lambda f, _: check_cad_derivative(f, model.derivative(f), ca, ca,
+                                                        strat, model.tag),
+                "random subjects"))
             continue
         if ax in ("F1", "F2", "F3", "F4", "OplusEps"):
             rep = check_flatness(model, space, strat, parts=(ax,))
             rep.axiom = ax
             results.append(rep)
             continue
-        agg = None
-        for i, f in enumerate(pool):
-            pair_subjects = [f, pool[(i + 1) % len(pool)]]
-            rep = check_axiom(model, ax, pair_subjects, strat)
-            agg = _merge(agg, rep, len(pool))
-        if agg is not None:
-            results.append(agg)
+        results.append(pool_report(
+            pool, lambda f, g: check_axiom(model, ax, [f, g], strat), "random subjects"))
     return results
 
 
 def _cmd_check(args) -> int:
     started = time.time()
-    model = get_model(args.model)
-    _load_prims(model, args)
-    space = parse_space(args.space) if args.space else model.default_space
-    seed = _resolve_seed(args)
-    strat = _strategy(args, seed)
+    model, space, seed, strat = _setup(args)
     if args.axioms == "all":
         axioms = list(SUITE_AXIOMS) + ["CA", "CAD"]
     else:
@@ -353,23 +349,9 @@ def _cmd_check(args) -> int:
     return _emit(args, "check", model.tag, seed, results, started)
 
 
-def _merge(agg: Optional[LawReport], rep: LawReport, n: int) -> LawReport:
-    if agg is None:
-        rep.subject = f"{n} random subjects"
-        return rep
-    agg.checked += rep.checked
-    agg.violations += rep.violations
-    if agg.counterexample is None:
-        agg.counterexample = rep.counterexample
-    return agg
-
-
 def _cmd_monad_laws(args) -> int:
     started = time.time()
-    model = get_model(args.model)
-    space = parse_space(args.space) if args.space else model.default_space
-    seed = _resolve_seed(args)
-    strat = _strategy(args, seed)
+    model, space, seed, strat = _setup(args)
     subjects = model.random_subjects(space, max(2, min(args.subjects, 8)), seed)
     results = [
         check_monad_laws(model, space, strat),
@@ -380,10 +362,7 @@ def _cmd_monad_laws(args) -> int:
 
 def _cmd_kleisli_check(args) -> int:
     started = time.time()
-    model = get_model(args.model)
-    space = parse_space(args.space) if args.space else model.default_space
-    seed = _resolve_seed(args)
-    strat = _strategy(args, seed)
+    model, space, seed, strat = _setup(args)
     results = check_kleisli_cdc(model, space, strat,
                                 subjects=max(2, args.subjects), seed=seed)
     return _emit(args, "kleisli-check", model.tag, seed, results, started)
@@ -391,10 +370,7 @@ def _cmd_kleisli_check(args) -> int:
 
 def _cmd_algebra_check(args) -> int:
     started = time.time()
-    model = get_model(args.model)
-    space = parse_space(args.space) if args.space else model.default_space
-    seed = _resolve_seed(args)
-    strat = _strategy(args, seed)
+    model, space, seed, strat = _setup(args)
     results = [check_linear_algebra(model, free_algebra(model, space), strat)]
     results[-1].subject = f"free algebra over {format_space(space)}"
     if args.nu_file:
@@ -427,10 +403,7 @@ def _cmd_lambda_check(args) -> int:
 
 def _cmd_flatness(args) -> int:
     started = time.time()
-    model = get_model(args.model)
-    space = parse_space(args.space) if args.space else model.default_space
-    seed = _resolve_seed(args)
-    strat = _strategy(args, seed)
+    model, space, seed, strat = _setup(args)
     results = [check_flatness(model, space, strat)]
     return _emit(args, "flatness", model.tag, seed, results, started)
 

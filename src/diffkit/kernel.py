@@ -174,7 +174,6 @@ def negate(f: Morphism) -> Morphism:
 
 def product_map(f: Morphism, g: Morphism) -> Morphism:
     """f x g on a product domain."""
-    dom = Product(f.dom, g.dom)
     return pair(compose(f, projection(0, f.dom, g.dom)),
                 compose(g, projection(1, f.dom, g.dom)))
 
@@ -431,7 +430,6 @@ def sides_cdc2_additivity(cat, f):
 def sides_cdc3(cat, a, b=None):
     b = a if b is None else b
     p = cat.obj_product(a, b)
-    tp = cat.obj_product(p, p)
     p1 = cat.proj(1, p, p)
     return [
         ("d[1] = pi1",
@@ -726,6 +724,25 @@ def check_axiom(
                                   seed=_strat_seed(strat), equal_fn=cat.equal)
 
 
+def pool_report(pool: Sequence, check, noun: str) -> Optional[LawReport]:
+    """One LawReport over a subject pool, from `check(f, g)` on each subject
+    f paired with the next one g (cyclically): counts add up, the first
+    counterexample is kept, and the subject reads "<n> <noun>". None for
+    an empty pool."""
+    agg: Optional[LawReport] = None
+    for i, f in enumerate(pool):
+        rep = check(f, pool[(i + 1) % len(pool)])
+        if agg is None:
+            agg = rep
+            agg.subject = f"{len(pool)} {noun}"
+        else:
+            agg.checked += rep.checked
+            agg.violations += rep.violations
+            if agg.counterexample is None:
+                agg.counterexample = rep.counterexample
+    return agg
+
+
 def _strat_seed(strat: EqualityStrategy) -> int:
     return getattr(strat.mode, "seed", 0)
 
@@ -790,7 +807,7 @@ def _right_injectivity(model, space, strat):
             for y in elems:
                 checked += 1
                 v = op((x, y))
-                key = to_json_key(v)
+                key = repr(to_jsonable(v))
                 if key in seen and seen[key] != y:
                     return False, checked, {
                         "input": to_jsonable(x),
@@ -804,24 +821,16 @@ def _right_injectivity(model, space, strat):
     checked = 0
     for x, (y1, y2) in pts:
         checked += 1
-        if elements_equal_guard(space, y1, y2, strat):
+        if elements_equal(space, y1, y2, strat.abs_tol, strat.rel_tol):
             continue
         v1, v2 = op((x, y1)), op((x, y2))
-        if elements_equal_guard(space, v1, v2, strat):
+        if elements_equal(space, v1, v2, strat.abs_tol, strat.rel_tol):
             return False, checked, {
                 "input": to_jsonable(x),
                 "lhs": to_jsonable(y1),
                 "rhs": to_jsonable(y2),
             }, None
     return True, checked, None, "unknown"
-
-
-def to_json_key(v):
-    return repr(to_jsonable(v))
-
-
-def elements_equal_guard(space, a, b, strat):
-    return elements_equal(space, a, b, strat.abs_tol, strat.rel_tol)
 
 
 def check_flatness(

@@ -190,7 +190,6 @@ def check_ev_derivative_identities(
     lhs = model.derivative(compose(evm, pair(curry(g), f)))
 
     f_p0 = compose(f, p0)
-    zero_b = zero_map(ta, b)
     # (i): ev . <d[curry g], f.pi0> + d[g] . <<pi0+eps(pi1), f.pi0>, <0, d[f]>>
     rhs_i = add(
         compose(evm, pair(dcg, f_p0)),

@@ -11,7 +11,7 @@ import random
 
 import numpy as np
 
-from ..errors import ModelRestriction, TypeMismatch
+from ..errors import ModelRestriction
 from ..kernel import DifferenceModel
 from ..morphisms import TABLE_LIMIT, Morphism, codes_at, domain_codes, from_table
 from ..spaces import (
@@ -20,12 +20,14 @@ from ..spaces import (
     FunctionSpace,
     Product,
     Space,
-    Terminal,
     add_elem,
     codec_size,
     derive_seed,
+    flatten,
     format_space,
+    leaves,
     sub_elem,
+    unflatten,
     v_add,
     v_sub,
 )
@@ -48,16 +50,6 @@ def difference_derivative(f: Morphism, model_tag: str) -> Morphism:
                     table_builder=build)
 
 
-def _int_kinds(space: Space) -> bool:
-    if isinstance(space, (CyclicGroup, BoundedInt, Terminal)):
-        return True
-    if isinstance(space, Product):
-        return _int_kinds(space.left) and _int_kinds(space.right)
-    if isinstance(space, FunctionSpace):
-        return _int_kinds(space.arg) and _int_kinds(space.res)
-    return False
-
-
 def _scalar_primitive(name: str, scalar_fn):
     """Endomap of a single integer carrier; products must project first."""
 
@@ -74,41 +66,10 @@ def _scalar_primitive(name: str, scalar_fn):
     return factory
 
 
-def _leaves(space: Space):
-    if isinstance(space, (CyclicGroup, BoundedInt)):
-        yield space
-    elif isinstance(space, Product):
-        yield from _leaves(space.left)
-        yield from _leaves(space.right)
-
-
-def _flatten(space: Space, x, out: list):
-    if isinstance(space, (CyclicGroup, BoundedInt)):
-        out.append(x)
-    elif isinstance(space, Product):
-        _flatten(space.left, x[0], out)
-        _flatten(space.right, x[1], out)
-
-
-def _unflatten(space: Space, vals, pos=0):
-    if isinstance(space, CyclicGroup):
-        return vals[pos] % space.n, pos + 1
-    if isinstance(space, BoundedInt):
-        return vals[pos], pos + 1
-    if isinstance(space, Product):
-        l, pos = _unflatten(space.left, vals, pos)
-        r, pos = _unflatten(space.right, vals, pos)
-        return (l, r), pos
-    if isinstance(space, Terminal):
-        return (), pos
-    raise TypeMismatch(f"cannot build values in {space!r}")
-
-
 def _poly_subject(space: Space, rng: random.Random, name: str) -> Morphism:
     """Total nonlinear endomap on integer carriers: per-output polynomial of
     a random weighting of the input leaves (degree <= 2, small coefficients)."""
-    leaves = list(_leaves(space))
-    width = len(leaves)
+    width = len(leaves(space))
     specs = []
     for _ in range(width):
         weights = [rng.randint(-2, 2) for _ in range(width)]
@@ -116,13 +77,12 @@ def _poly_subject(space: Space, rng: random.Random, name: str) -> Morphism:
         specs.append((weights, coeffs))
 
     def fn(x, _space=space, _specs=specs):
-        flat: list = []
-        _flatten(_space, x, flat)
+        flat = flatten(_space, x)
         outs = []
         for weights, coeffs in _specs:
             t = sum(w * v for w, v in zip(weights, flat))
             outs.append(coeffs[0] + coeffs[1] * t + coeffs[2] * t * t)
-        return _unflatten(_space, outs)[0]
+        return unflatten(_space, outs)
 
     return Morphism(space, space, fn, name=name)
 
@@ -139,7 +99,10 @@ class FinDiffModel(DifferenceModel):
         self.register_primitive("neg", _scalar_primitive("neg", lambda x: -x))
 
     def legal_space(self, space: Space) -> bool:
-        return _int_kinds(space)
+        return all(isinstance(s, (CyclicGroup, BoundedInt))
+                   or isinstance(s, FunctionSpace)
+                   and self.legal_space(s.arg) and self.legal_space(s.res)
+                   for s in leaves(space))
 
     @property
     def default_space(self) -> Space:

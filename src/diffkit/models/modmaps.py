@@ -9,6 +9,7 @@ scalar r, which by default is neither zero nor the identity.
 
 from __future__ import annotations
 
+import math
 import random
 
 from ..errors import NotAdditive
@@ -22,52 +23,27 @@ from ..morphisms import Auto, EqualityStrategy, Morphism, codes_at, domain_codes
 from ..spaces import (
     BoundedInt,
     CyclicGroup,
-    Product,
     Space,
-    Terminal,
     derive_seed,
+    flatten,
     format_space,
+    leaves,
     scale_elem,
+    unflatten,
     v_scale,
 )
 
 _ADDITIVITY_PROBE = EqualityStrategy(Auto(count=48, seed=17), bound=4096)
 
 
-def _int_kinds(space: Space) -> bool:
-    if isinstance(space, (CyclicGroup, BoundedInt, Terminal)):
-        return True
-    if isinstance(space, Product):
-        return _int_kinds(space.left) and _int_kinds(space.right)
-    return False
-
-
-def _leaves(space: Space):
-    if isinstance(space, (CyclicGroup, BoundedInt)):
-        yield space
-    elif isinstance(space, Product):
-        yield from _leaves(space.left)
-        yield from _leaves(space.right)
-
-
-def _flatten(space: Space, x, out: list):
-    if isinstance(space, (CyclicGroup, BoundedInt)):
-        out.append(x)
-    elif isinstance(space, Product):
-        _flatten(space.left, x[0], out)
-        _flatten(space.right, x[1], out)
-
-
-def _unflatten(space: Space, vals, pos=0):
-    if isinstance(space, CyclicGroup):
-        return vals[pos] % space.n, pos + 1
-    if isinstance(space, BoundedInt):
-        return vals[pos], pos + 1
-    if isinstance(space, Product):
-        l, pos = _unflatten(space.left, vals, pos)
-        r, pos = _unflatten(space.right, vals, pos)
-        return (l, r), pos
-    return (), pos
+def _hom_factor(src: Space, dst: Space) -> int:
+    """f such that x -> f k x is a homomorphism src -> dst for every integer
+    k: n / gcd(m, n) for Z_m -> Z_n, 0 for Z_m -> Int, 1 from Int."""
+    if isinstance(src, BoundedInt):
+        return 1
+    if isinstance(dst, BoundedInt):
+        return 0
+    return dst.n // math.gcd(src.n, dst.n)
 
 
 class ModuleModel(DifferenceModel):
@@ -91,7 +67,7 @@ class ModuleModel(DifferenceModel):
         return factory
 
     def legal_space(self, space: Space) -> bool:
-        return _int_kinds(space)
+        return all(isinstance(s, (CyclicGroup, BoundedInt)) for s in leaves(space))
 
     @property
     def default_space(self) -> Space:
@@ -124,20 +100,20 @@ class ModuleModel(DifferenceModel):
         return d
 
     def random_subjects(self, space: Space, count: int, seed: int) -> list[Morphism]:
-        """Random additive endomaps: an integer matrix over the leaf carriers."""
+        """Random additive endomaps: an integer matrix over the leaf carriers,
+        each entry scaled so that it maps its input leaf additively."""
         self.check_space(space)
-        width = len(list(_leaves(space)))
+        ls = leaves(space)
         out = []
         for i in range(count):
             rng = random.Random(derive_seed(seed, "module-subject",
                                             format_space(space), i))
-            mat = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(width)]
+            mat = [[rng.randint(-3, 3) * _hom_factor(src, dst) for src in ls] for dst in ls]
 
             def fn(x, _space=space, _mat=mat):
-                flat: list = []
-                _flatten(_space, x, flat)
+                flat = flatten(_space, x)
                 outs = [sum(k * v for k, v in zip(row, flat)) for row in _mat]
-                return _unflatten(_space, outs)[0]
+                return unflatten(_space, outs)
 
             out.append(Morphism(space, space, fn, model=self.tag, name=f"lin{i}"))
         return out

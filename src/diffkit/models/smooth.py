@@ -12,17 +12,18 @@ from __future__ import annotations
 import math
 import random
 
-from ..errors import ModelRestriction, UnsupportedPrimitive
+from ..errors import UnsupportedPrimitive
 from ..kernel import DifferenceModel, zero_map
 from ..morphisms import Morphism
 from ..spaces import (
     Product,
     Real,
     Space,
-    Terminal,
     derive_seed,
-    format_space,
+    flatten,
+    leaves,
     sample_space,
+    unflatten,
 )
 
 
@@ -87,23 +88,13 @@ def d_exp(x):
 
 
 def _dualize(space: Space, x, y):
-    if isinstance(space, Real):
-        return tuple(Dual(a, b) for a, b in zip(x, y))
-    if isinstance(space, Product):
-        return (_dualize(space.left, x[0], y[0]), _dualize(space.right, x[1], y[1]))
-    if isinstance(space, Terminal):
-        return ()
-    raise ModelRestriction(f"{format_space(space)} is not a smooth space")
+    return unflatten(space, [Dual(a, b) for a, b in zip(flatten(space, x),
+                                                        flatten(space, y))])
 
 
 def _tangent_part(space: Space, v):
-    if isinstance(space, Real):
-        return tuple(c.tangent if isinstance(c, Dual) else 0.0 for c in v)
-    if isinstance(space, Product):
-        return (_tangent_part(space.left, v[0]), _tangent_part(space.right, v[1]))
-    if isinstance(space, Terminal):
-        return ()
-    raise ModelRestriction(f"{format_space(space)} is not a smooth space")
+    return unflatten(space, [c.tangent if isinstance(c, Dual) else 0.0
+                             for c in flatten(space, v)])
 
 
 def _componentwise(name: str, unary):
@@ -114,44 +105,6 @@ def _componentwise(name: str, unary):
                         lambda x: tuple(unary(c) for c in x), name=name)
 
     return factory
-
-
-def _smooth_kinds(space: Space) -> bool:
-    if isinstance(space, (Real, Terminal)):
-        return True
-    if isinstance(space, Product):
-        return _smooth_kinds(space.left) and _smooth_kinds(space.right)
-    return False
-
-
-def _real_leaves(space: Space) -> int:
-    if isinstance(space, Real):
-        return space.dim
-    if isinstance(space, Product):
-        return _real_leaves(space.left) + _real_leaves(space.right)
-    if isinstance(space, Terminal):
-        return 0
-    raise ModelRestriction(f"{format_space(space)} is not a smooth space")
-
-
-def _flatten(space: Space, x, out: list):
-    if isinstance(space, Real):
-        out.extend(x)
-    elif isinstance(space, Product):
-        _flatten(space.left, x[0], out)
-        _flatten(space.right, x[1], out)
-
-
-def _unflatten(space: Space, vals, pos=0):
-    if isinstance(space, Real):
-        return tuple(vals[pos : pos + space.dim]), pos + space.dim
-    if isinstance(space, Product):
-        l, pos = _unflatten(space.left, vals, pos)
-        r, pos = _unflatten(space.right, vals, pos)
-        return (l, r), pos
-    if isinstance(space, Terminal):
-        return (), pos
-    raise ModelRestriction(f"{format_space(space)} is not a smooth space")
 
 
 # Grammar stages for random subjects: a linear mix, then up to three unary
@@ -184,20 +137,19 @@ def _random_unary(rng: random.Random):
 
 
 def _random_grammar_fn(space: Space, rng: random.Random):
-    width = _real_leaves(space)
+    width = sum(s.dim for s in leaves(space))
     mix = [[rng.randint(-2, 2) for _ in range(width)] for _ in range(width)]
     bias = [rng.randint(-2, 2) for _ in range(width)]
     depth = rng.randint(1, 3)
     layers = [[_random_unary(rng) for _ in range(width)] for _ in range(depth)]
 
     def fn(x, _space=space, _mix=mix, _bias=bias, _layers=layers):
-        flat: list = []
-        _flatten(_space, x, flat)
+        flat = flatten(_space, x)
         cur = [b + sum(w * v for w, v in zip(row, flat))
                for row, b in zip(_mix, _bias)]
         for layer in _layers:
             cur = [u(t) for u, t in zip(layer, cur)]
-        return _unflatten(_space, cur)[0]
+        return unflatten(_space, cur)
 
     return fn
 
@@ -205,8 +157,7 @@ def _random_grammar_fn(space: Space, rng: random.Random):
 def _subject_ok(space: Space, fn, probes) -> bool:
     try:
         for p in probes:
-            v: list = []
-            _flatten(space, fn(p), v)
+            v = flatten(space, fn(p))
             if any(not math.isfinite(c) or abs(c) > _SUBJECT_VALUE_CAP for c in v):
                 return False
     except OverflowError:
@@ -229,7 +180,7 @@ class SmoothModel(DifferenceModel):
         self.register_primitive("exp", _componentwise("exp", d_exp))
 
     def legal_space(self, space: Space) -> bool:
-        return _smooth_kinds(space)
+        return all(isinstance(s, Real) for s in leaves(space))
 
     @property
     def default_space(self) -> Space:

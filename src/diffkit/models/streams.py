@@ -14,6 +14,7 @@ difference combinator (the identity's derivative truncates).
 
 from __future__ import annotations
 
+import functools
 import random
 
 import numpy as np
@@ -35,12 +36,13 @@ from ..spaces import (
     Product,
     Space,
     StreamPrefix,
-    Terminal,
     add_elem,
     codec_size,
     derive_seed,
     elements_equal,
     format_space,
+    leafwise,
+    leaves,
     sample_space,
     splice0_elem,
     sub_elem,
@@ -51,24 +53,6 @@ from ..spaces import (
     v_trunc,
     zero_elem,
 )
-
-
-def _int_base(space: Space) -> bool:
-    if isinstance(space, (CyclicGroup, BoundedInt, Terminal)):
-        return True
-    if isinstance(space, Product):
-        return _int_base(space.left) and _int_base(space.right)
-    return False
-
-
-def _stream_kinds(space: Space) -> bool:
-    if isinstance(space, Terminal):
-        return True
-    if isinstance(space, StreamPrefix):
-        return _int_base(space.base)
-    if isinstance(space, Product):
-        return _stream_kinds(space.left) and _stream_kinds(space.right)
-    return False
 
 
 def truncation(space: Space) -> Morphism:
@@ -132,46 +116,28 @@ def simple_stream_derivative(f: Morphism) -> Morphism:
     return Morphism(Product(a, a), b, fn, name=f"dz[{f.name}]")
 
 
-def _prefix_lengths(space: Space) -> int:
-    if isinstance(space, StreamPrefix):
-        return space.length
-    if isinstance(space, Product):
-        return max(_prefix_lengths(space.left), _prefix_lengths(space.right))
-    return 0
+def _head(p: int, space: Space, x):
+    return tuple(x[:p]) if isinstance(space, StreamPrefix) else ()
 
 
-def _take_prefix(space: Space, x, p: int):
-    if isinstance(space, StreamPrefix):
-        return tuple(x[: min(p, space.length)])
-    if isinstance(space, Product):
-        return (_take_prefix(space.left, x[0], p), _take_prefix(space.right, x[1], p))
-    return ()
-
-
-def _overwrite_tail(space: Space, x, y, p: int):
+def _overwrite_tail(p: int, space: Space, x, y):
     """Keep x on indices < p, take y from index p on."""
-    if isinstance(space, StreamPrefix):
-        return tuple(x[:p]) + tuple(y[p:])
-    if isinstance(space, Product):
-        return (
-            _overwrite_tail(space.left, x[0], y[0], p),
-            _overwrite_tail(space.right, x[1], y[1], p),
-        )
-    return ()
+    return tuple(x[:p]) + tuple(y[p:]) if isinstance(space, StreamPrefix) else ()
 
 
 def causality_check(f: Morphism, strat: EqualityStrategy = DEFAULT_STRATEGY) -> bool:
     """Inputs agreeing on a prefix must give outputs agreeing on that prefix."""
-    k = _prefix_lengths(f.dom)
+    k = max((s.length for s in leaves(f.dom) if isinstance(s, StreamPrefix)), default=0)
     count = getattr(strat.mode, "count", 64)
     seed = getattr(strat.mode, "seed", 0)
     xs = sample_space(f.dom, count, derive_seed(seed, "causal-x"))
     ys = sample_space(f.dom, count, derive_seed(seed, "causal-y"))
     for x, y in zip(xs, ys):
         for p in range(k + 1):
-            x2 = _overwrite_tail(f.dom, x, y, p)
+            x2 = leafwise(f.dom, functools.partial(_overwrite_tail, p), x, y)
             a, b = f(x), f(x2)
-            if _take_prefix(f.cod, a, p) != _take_prefix(f.cod, b, p):
+            head = functools.partial(_head, p)
+            if leafwise(f.cod, head, a) != leafwise(f.cod, head, b):
                 return False
     return True
 
@@ -237,7 +203,9 @@ class StreamModel(DifferenceModel):
     # -- model interface
 
     def legal_space(self, space: Space) -> bool:
-        return _stream_kinds(space)
+        return all(isinstance(s, StreamPrefix)
+                   and all(isinstance(t, (CyclicGroup, BoundedInt)) for t in leaves(s.base))
+                   for s in leaves(space))
 
     @property
     def default_space(self) -> Space:

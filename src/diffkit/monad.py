@@ -9,7 +9,8 @@ a second-order tangent down with the infinitesimal extension:
 Kleisli maps A -> T(B) are kept as their two components. Composition
 has a closed form and a definitional form (mu . T(g) . f); because the
 closed form is the easiest place to get wrong, every call cross-checks
-the two on a few sampled points (or exhaustively, in test builds).
+the two under an oracle strategy (8 sampled points unless the caller
+passes another).
 
 The Kleisli category is itself a difference category: `KleisliCat`
 adapts it to the axiom schemas in `kernel`, with generalized points of
@@ -32,6 +33,7 @@ from .kernel import (
     is_group_homomorphism,
     is_linear,
     pair,
+    pool_report,
     product_map,
     projection,
     zero_map,
@@ -47,20 +49,8 @@ from .morphisms import (
 )
 from .spaces import Product, Space, TERMINAL, format_space
 
-_ORACLE_MODE = "sampled"  # "sampled" | "full" | "off"
-_ORACLE_POINTS = 8
-
-
-def set_oracle_mode(mode: str):
-    """Cross-check policy for the closed-form Kleisli composition."""
-    global _ORACLE_MODE
-    if mode not in ("sampled", "full", "off"):
-        raise ValueError(mode)
-    _ORACLE_MODE = mode
-
-
-def oracle_mode() -> str:
-    return _ORACLE_MODE
+# the closed-form Kleisli composition's self-check: 8 sampled points
+DEFAULT_ORACLE = EqualityStrategy(Sampled(8, 1009))
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +88,6 @@ def mu(model: DifferenceModel, a: Space) -> Morphism:
 
 def phi(a: Space, b: Space) -> Morphism:
     """T(A x B) -> T(A) x T(B); swaps the two middle coordinates."""
-    ab = Product(a, b)
     pa, pb = projection(0, a, b), projection(1, a, b)
     m = pair(product_map(pa, pa), product_map(pb, pb))
     m.name = "phi"
@@ -106,7 +95,6 @@ def phi(a: Space, b: Space) -> Morphism:
 
 
 def phi_inv(a: Space, b: Space) -> Morphism:
-    ta, tb = T_space(a), T_space(b)
     qa0, qa1 = projection(0, a, a), projection(1, a, a)
     qb0, qb1 = projection(0, b, b), projection(1, b, b)
     m = pair(product_map(qa0, qb0), product_map(qa1, qb1))
@@ -250,12 +238,12 @@ def kleisli_compose(
     model: DifferenceModel,
     g: KleisliMap,
     f: KleisliMap,
-    oracle_strat: Optional[EqualityStrategy] = None,
+    oracle_strat: EqualityStrategy = DEFAULT_ORACLE,
 ) -> KleisliMap:
     """Closed-form composition <g0.f0, d[g0]<f0,f1> + g1.(f0 (+) f1)>.
 
-    Every call recomputes the definitional form mu . T(g) . f and
-    asserts agreement (sampled by default, full under test builds).
+    Every call recomputes the definitional form mu . T(g) . f and asserts
+    agreement under `oracle_strat`.
     """
     if f.cod != g.dom:
         raise DomainMismatch(f"cannot compose {g.name} after {f.name}")
@@ -265,19 +253,11 @@ def kleisli_compose(
         compose(g.f1, add(f.f0, model.epsilon(f.f1))),
     )
     out = KleisliMap(f.dom, g.cod, c0, c1)
-
-    if _ORACLE_MODE != "off":
-        definitional = compose(mu(model, g.cod),
-                               compose(T_map(model, g.as_base()), f.as_base()))
-        strat = oracle_strat
-        if strat is None:
-            strat = (DEFAULT_STRATEGY if _ORACLE_MODE == "full"
-                     else EqualityStrategy(Sampled(_ORACLE_POINTS, 1009)))
-        rep = morphisms_equal(out.as_base(), definitional, strat)
-        if not rep.passed:
-            raise DiffkitError(
-                f"Kleisli composition self-check failed: {rep.counterexample}"
-            )
+    definitional = compose(mu(model, g.cod),
+                           compose(T_map(model, g.as_base()), f.as_base()))
+    rep = morphisms_equal(out.as_base(), definitional, oracle_strat)
+    if not rep.passed:
+        raise DiffkitError(f"Kleisli composition self-check failed: {rep.counterexample}")
     return out
 
 
@@ -304,10 +284,12 @@ class KleisliCat:
     A generalized point of A at stage S is a base map S -> T(A), so the
     point stage for k points of A is the base product of k copies of
     T(A) with its tautological projections split into components.
+    `oracle_strat` is the self-check of every composition.
     """
 
-    def __init__(self, model: DifferenceModel):
+    def __init__(self, model: DifferenceModel, oracle_strat: EqualityStrategy = DEFAULT_ORACLE):
         self.model = model
+        self.oracle_strat = oracle_strat
 
     def dom(self, f):
         return f.dom
@@ -319,7 +301,7 @@ class KleisliCat:
         return kleisli_identity(self.model, a)
 
     def compose(self, g, f):
-        return kleisli_compose(self.model, g, f)
+        return kleisli_compose(self.model, g, f, self.oracle_strat)
 
     def pair(self, f, g):
         return kleisli_pair(f, g)
@@ -384,6 +366,7 @@ def check_kleisli_cdc(
     subjects: int = 8,
     seed: int = 0,
     include_additivity: Optional[bool] = None,
+    oracle_strat: EqualityStrategy = DEFAULT_ORACLE,
 ) -> list[LawReport]:
     """The full coherence suite, run inside the Kleisli category.
 
@@ -391,27 +374,14 @@ def check_kleisli_cdc(
     the Kleisli derivative is additive in its second argument as well,
     so CDC2-additivity is appended there by default.
     """
-    cat = KleisliCat(model)
+    cat = KleisliCat(model, oracle_strat)
     subs = random_kleisli_subjects(model, a, subjects, seed)
     if include_additivity is None:
         include_additivity = model.tag == "smooth"
     axioms = list(_KLEISLI_AXIOMS) + (["CDC2-additivity"] if include_additivity else [])
-    out = []
-    for ax in axioms:
-        agg: Optional[LawReport] = None
-        for i, s in enumerate(subs):
-            pair_subjects = [s, subs[(i + 1) % len(subs)]]
-            rep = check_axiom(model, ax, pair_subjects, strat, cat=cat)
-            if agg is None:
-                agg = rep
-                agg.subject = f"{len(subs)} random kleisli subjects"
-            else:
-                agg.checked += rep.checked
-                agg.violations += rep.violations
-                if agg.counterexample is None:
-                    agg.counterexample = rep.counterexample
-        out.append(agg)
-    return out
+    reports = (pool_report(subs, lambda f, g: check_axiom(model, ax, [f, g], strat, cat=cat),
+                           "random kleisli subjects") for ax in axioms)
+    return [r for r in reports if r is not None]
 
 
 # ---------------------------------------------------------------------------

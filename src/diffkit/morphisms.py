@@ -19,7 +19,7 @@ two are checked against each other in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,7 +28,6 @@ from .errors import DomainMismatch, InvalidArgument, SizeExceeded
 from .spaces import (
     DEFAULT_ENUM_BOUND,
     Space,
-    arange_for,
     codec_size,
     decode,
     derive_seed,
@@ -93,7 +92,7 @@ def from_table(dom: Space, cod: Space, table: np.ndarray, model=None, name="tabl
 
 def domain_codes(space: Space, idx: Optional[np.ndarray]) -> np.ndarray:
     """`idx` itself, or every code of `space` in order when it is None."""
-    return arange_for(space) if idx is None else idx
+    return np.arange(codec_size(space), dtype=np.int64) if idx is None else idx
 
 
 def _closure_codes(m: Morphism, codes) -> np.ndarray:
@@ -196,14 +195,8 @@ class EqualityStrategy:
         return self.mode.describe()
 
     def with_seed(self, seed: int) -> "EqualityStrategy":
-        if isinstance(self.mode, Sampled):
-            return EqualityStrategy(
-                Sampled(self.mode.count, seed), self.abs_tol, self.rel_tol, self.bound
-            )
-        if isinstance(self.mode, Auto):
-            return EqualityStrategy(
-                Auto(self.mode.count, seed), self.abs_tol, self.rel_tol, self.bound
-            )
+        if isinstance(self.mode, (Sampled, Auto)):
+            return replace(self, mode=replace(self.mode, seed=seed))
         return self
 
     def resolve(self, dom: Space) -> "EqualityStrategy":
@@ -211,29 +204,12 @@ class EqualityStrategy:
         if not isinstance(self.mode, Auto):
             return self
         n = space_size(dom)
-        mode = (
-            Exhaustive()
-            if n is not None and n <= self.bound
-            else Sampled(self.mode.count, self.mode.seed)
-        )
-        return EqualityStrategy(mode, self.abs_tol, self.rel_tol, self.bound)
+        if n is not None and n <= self.bound:
+            return replace(self, mode=Exhaustive())
+        return replace(self, mode=Sampled(self.mode.count, self.mode.seed))
 
 
 DEFAULT_STRATEGY = EqualityStrategy(Auto())
-
-
-def strategy_for(
-    space: Space,
-    count: int = 256,
-    seed: int = 0,
-    bound: int = DEFAULT_ENUM_BOUND,
-    abs_tol: float = 1e-9,
-    rel_tol: float = 1e-6,
-) -> EqualityStrategy:
-    """Exhaustive when the space enumerates under the bound, else sampled."""
-    n = space_size(space)
-    mode = Exhaustive() if n is not None and n <= bound else Sampled(count, seed)
-    return EqualityStrategy(mode, abs_tol, rel_tol, bound)
 
 
 @dataclass

@@ -18,6 +18,13 @@ Element representation is plain Python data keyed by the space shape:
     FunctionSpace(a, r)   tuple of |a| elements of r, position j being
                           the value at the j-th element of enumerate(a)
 
+This module is the only one that knows that layout. Each space builds
+its element operations once, on first use (`Space.ops`: zero, add, neg,
+sub, scale, equal, draw, the codec, enumeration): closures over the
+children's operations, so a call walks the element, never the space.
+Models reach scalar leaves through `leaves`, `flatten`/`unflatten` and
+`leafwise` only.
+
 Spaces whose carrier is finite and closed under the group operations
 (everything except BoundedInt and Real) additionally get an integer
 codec, used by the table backend in `morphisms`. A code is a mixed-radix
@@ -34,9 +41,10 @@ import functools
 import hashlib
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -50,6 +58,11 @@ REAL_SAMPLE_HI = 10.0
 @dataclass(frozen=True)
 class Space:
     """Base class; concrete kinds below."""
+
+    @functools.cached_property
+    def ops(self) -> "ElementOps":
+        """This space's element operations, built on first use and kept."""
+        return _build_ops(self)
 
 
 @dataclass(frozen=True)
@@ -113,79 +126,186 @@ TERMINAL = Terminal()
 
 
 # ---------------------------------------------------------------------------
-# element algebra
+# element algebra, built once per space
+
+
+class ElementOps(NamedTuple):
+    """The element operations of one space (`Space.ops`).
+
+    Each is a closure over the children's prebuilt operations, so a call
+    walks the element and never the space. `scale` takes `(r, a)`,
+    `equal` takes `(a, b, abs_tol, rel_tol)`, `draw` takes a
+    `random.Random`, `unflatten` takes `(coords, pos)` and returns the
+    element and the next position, and `elements()` iterates over the
+    enumeration. An operation the space lacks raises when called.
+    """
+
+    zero: object
+    add: Callable
+    neg: Callable
+    sub: Callable
+    scale: Callable
+    equal: Callable
+    draw: Callable
+    flatten: Callable
+    unflatten: Callable
+    encode: Callable
+    decode: Callable
+    elements: Callable
+
+
+def _fails(exc, msg: str):
+    def fail(*_):
+        raise exc(msg)
+
+    return fail
+
+
+def _build_ops(space: Space) -> ElementOps:
+    no_coords = _fails(TypeMismatch, f"cannot build values in {space!r}")
+    no_codec = _fails(NotEnumerable, f"no integer codec for {space!r}")
+    if isinstance(space, CyclicGroup):
+        n = space.n
+        return ElementOps(
+            0,
+            lambda a, b: (a + b) % n,
+            lambda a: (-a) % n,
+            lambda a, b: (a + (-b) % n) % n,
+            lambda r, a: (r * a) % n,
+            lambda a, b, at, rt: a == b,
+            lambda rng: rng.randrange(n),
+            lambda a: [a],
+            lambda v, pos: (v[pos] % n, pos + 1),
+            lambda a: a % n,
+            lambda i: i % n,
+            lambda: iter(range(n)),
+        )
+    if isinstance(space, BoundedInt):
+        lo, hi = space.lo, space.hi
+        return ElementOps(
+            0,
+            operator.add,
+            operator.neg,
+            lambda a, b: a + (-b),
+            operator.mul,
+            lambda a, b, at, rt: a == b,
+            lambda rng: rng.randint(lo, hi),
+            lambda a: [a],
+            lambda v, pos: (v[pos], pos + 1),
+            no_codec,
+            no_codec,
+            lambda: iter(range(lo, hi + 1)),
+        )
+    if isinstance(space, Real):
+        d = space.dim
+        return ElementOps(
+            (0.0,) * d,
+            lambda a, b: tuple(map(operator.add, a, b)),
+            lambda a: tuple(map(operator.neg, a)),
+            lambda a, b: tuple([x + (-y) for x, y in zip(a, b)]),
+            lambda r, a: tuple([r * x for x in a]),
+            lambda a, b, at, rt: all(_real_close(x, y, at, rt) for x, y in zip(a, b)),
+            lambda rng: tuple([rng.uniform(REAL_SAMPLE_LO, REAL_SAMPLE_HI)
+                               for _ in range(d)]),
+            list,
+            lambda v, pos: (tuple(v[pos : pos + d]), pos + d),
+            no_codec,
+            no_codec,
+            _fails(NotEnumerable, f"{format_space(space)} is not enumerable"),
+        )
+    if isinstance(space, (StreamPrefix, FunctionSpace)):
+        # k elements of one space, acted on position by position; a code is
+        # the base-b number whose digits are the positions' codes, first first
+        if isinstance(space, StreamPrefix):
+            base, k = space.base, space.length
+        else:
+            base, k = space.res, space_size(space.arg)
+            if k is None:
+                raise NotEnumerable(f"{format_space(space)} has a non-enumerable argument")
+        z, add, neg, sub, scale, equal, draw, _, _, enc, dec, elems = base.ops
+        b = codec_size(base)
+
+        def encode(a):
+            i = 0
+            for x in a:
+                i = i * b + enc(x)
+            return i
+
+        def decode(i):
+            out = []
+            for _ in range(k):
+                out.append(dec(i % b))
+                i //= b
+            return tuple(reversed(out))
+
+        return ElementOps(
+            (z,) * k,
+            lambda a, c: tuple(map(add, a, c)),
+            lambda a: tuple(map(neg, a)),
+            lambda a, c: tuple(map(sub, a, c)),
+            lambda r, a: tuple([scale(r, x) for x in a]),
+            lambda a, c, at, rt: all(equal(x, y, at, rt) for x, y in zip(a, c)),
+            lambda rng: tuple([draw(rng) for _ in range(k)]),
+            no_coords,
+            no_coords,
+            no_codec if b is None else encode,
+            no_codec if b is None else decode,
+            lambda: itertools.product(elems(), repeat=k),
+        )
+    if isinstance(space, Product):
+        (lz, ladd, lneg, lsub, lscale, leq, ldraw, lflat, lunflat, lenc, ldec,
+         lelems) = space.left.ops
+        (rz, radd, rneg, rsub, rscale, req, rdraw, rflat, runflat, renc, rdec,
+         relems) = space.right.ops
+        rn = codec_size(space.right)
+
+        def unflatten(v, pos):
+            x, pos = lunflat(v, pos)
+            y, pos = runflat(v, pos)
+            return (x, y), pos
+
+        return ElementOps(
+            (lz, rz),
+            lambda a, b: (ladd(a[0], b[0]), radd(a[1], b[1])),
+            lambda a: (lneg(a[0]), rneg(a[1])),
+            lambda a, b: (lsub(a[0], b[0]), rsub(a[1], b[1])),
+            lambda r, a: (lscale(r, a[0]), rscale(r, a[1])),
+            lambda a, b, at, rt: leq(a[0], b[0], at, rt) and req(a[1], b[1], at, rt),
+            lambda rng: (ldraw(rng), rdraw(rng)),
+            lambda a: lflat(a[0]) + rflat(a[1]),
+            unflatten,
+            no_codec if rn is None else lambda a: lenc(a[0]) * rn + renc(a[1]),
+            no_codec if rn is None else lambda i: (ldec(i // rn), rdec(i % rn)),
+            lambda: itertools.product(lelems(), relems()),
+        )
+    if isinstance(space, Terminal):
+        unit = lambda *_: ()  # noqa: E731
+        return ElementOps((), unit, unit, unit, unit, lambda *_: True, unit, lambda a: [],
+                          lambda v, pos: ((), pos), lambda a: 0, unit, lambda: iter([()]))
+    raise TypeMismatch(f"unknown space {space!r}")
 
 
 def zero_elem(space: Space):
-    if isinstance(space, CyclicGroup) or isinstance(space, BoundedInt):
-        return 0
-    if isinstance(space, Real):
-        return (0.0,) * space.dim
-    if isinstance(space, StreamPrefix):
-        return (zero_elem(space.base),) * space.length
-    if isinstance(space, Product):
-        return (zero_elem(space.left), zero_elem(space.right))
-    if isinstance(space, Terminal):
-        return ()
-    if isinstance(space, FunctionSpace):
-        return (zero_elem(space.res),) * space_size(space.arg)
-    raise TypeMismatch(f"unknown space {space!r}")
+    return space.ops.zero
 
 
 def add_elem(space: Space, a, b):
-    if isinstance(space, CyclicGroup):
-        return (a + b) % space.n
-    if isinstance(space, BoundedInt):
-        return a + b
-    if isinstance(space, Real):
-        return tuple(x + y for x, y in zip(a, b))
-    if isinstance(space, (StreamPrefix, FunctionSpace)):
-        base = space.base if isinstance(space, StreamPrefix) else space.res
-        return tuple(add_elem(base, x, y) for x, y in zip(a, b))
-    if isinstance(space, Product):
-        return (add_elem(space.left, a[0], b[0]), add_elem(space.right, a[1], b[1]))
-    if isinstance(space, Terminal):
-        return ()
-    raise TypeMismatch(f"unknown space {space!r}")
+    return space.ops.add(a, b)
 
 
 def neg_elem(space: Space, a):
-    if isinstance(space, CyclicGroup):
-        return (-a) % space.n
-    if isinstance(space, BoundedInt):
-        return -a
-    if isinstance(space, Real):
-        return tuple(-x for x in a)
-    if isinstance(space, (StreamPrefix, FunctionSpace)):
-        base = space.base if isinstance(space, StreamPrefix) else space.res
-        return tuple(neg_elem(base, x) for x in a)
-    if isinstance(space, Product):
-        return (neg_elem(space.left, a[0]), neg_elem(space.right, a[1]))
-    if isinstance(space, Terminal):
-        return ()
-    raise TypeMismatch(f"unknown space {space!r}")
+    return space.ops.neg(a)
 
 
 def sub_elem(space: Space, a, b):
-    return add_elem(space, a, neg_elem(space, b))
+    """`a + (-b)` leaf by leaf (with Dual entries `a - b` may differ in the
+    sign of a zero tangent)."""
+    return space.ops.sub(a, b)
 
 
 def scale_elem(space: Space, r, a):
     """r-fold scalar action; integer r on discrete spaces, any real on Real."""
-    if isinstance(space, CyclicGroup):
-        return (r * a) % space.n
-    if isinstance(space, BoundedInt):
-        return r * a
-    if isinstance(space, Real):
-        return tuple(r * x for x in a)
-    if isinstance(space, (StreamPrefix, FunctionSpace)):
-        base = space.base if isinstance(space, StreamPrefix) else space.res
-        return tuple(scale_elem(base, r, x) for x in a)
-    if isinstance(space, Product):
-        return (scale_elem(space.left, r, a[0]), scale_elem(space.right, r, a[1]))
-    if isinstance(space, Terminal):
-        return ()
-    raise TypeMismatch(f"unknown space {space!r}")
+    return space.ops.scale(r, a)
 
 
 def truncate_elem(space: Space, a):
@@ -224,20 +344,34 @@ def _real_close(x, y, abs_tol: float, rel_tol: float) -> bool:
 
 def elements_equal(space: Space, a, b, abs_tol: float = 0.0, rel_tol: float = 0.0) -> bool:
     """Exact comparison everywhere except Real leaves, which use tolerances."""
-    if isinstance(space, Real):
-        return all(_real_close(x, y, abs_tol, rel_tol) for x, y in zip(a, b))
-    if isinstance(space, (CyclicGroup, BoundedInt)):
-        return a == b
-    if isinstance(space, Terminal):
-        return True
-    if isinstance(space, (StreamPrefix, FunctionSpace)):
-        base = space.base if isinstance(space, StreamPrefix) else space.res
-        return all(elements_equal(base, x, y, abs_tol, rel_tol) for x, y in zip(a, b))
+    return space.ops.equal(a, b, abs_tol, rel_tol)
+
+
+def leaves(space: Space) -> tuple[Space, ...]:
+    """The leaf spaces of a product tree, left to right; Terminal has none."""
     if isinstance(space, Product):
-        return elements_equal(space.left, a[0], b[0], abs_tol, rel_tol) and elements_equal(
-            space.right, a[1], b[1], abs_tol, rel_tol
-        )
-    raise TypeMismatch(f"unknown space {space!r}")
+        return leaves(space.left) + leaves(space.right)
+    return () if isinstance(space, Terminal) else (space,)
+
+
+def leafwise(space: Space, fn, *xs):
+    """`fn(leaf, *parts)` at every leaf of a product tree, `parts` being the
+    leaf's components of the elements `xs`; Terminal gives ()."""
+    if isinstance(space, Product):
+        return (leafwise(space.left, fn, *[x[0] for x in xs]),
+                leafwise(space.right, fn, *[x[1] for x in xs]))
+    return () if isinstance(space, Terminal) else fn(space, *xs)
+
+
+def flatten(space: Space, x) -> list:
+    """Scalar coordinates of `x` in leaf order: one per Z<n> or Int leaf, d
+    per R^d. Stream and function leaves have none (TypeMismatch)."""
+    return space.ops.flatten(x)
+
+
+def unflatten(space: Space, coords):
+    """The element of `space` with these coordinates (Z<n> ones reduced mod n)."""
+    return space.ops.unflatten(coords, 0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -251,20 +385,10 @@ def codec_size(space: Space) -> Optional[int]:
     BoundedInt and Real are excluded: their carriers are infinite even
     though BoundedInt has a finite enumeration window.
     """
-    if isinstance(space, CyclicGroup):
-        return space.n
-    if isinstance(space, Terminal):
-        return 1
-    if isinstance(space, Product):
-        l, r = codec_size(space.left), codec_size(space.right)
-        return None if l is None or r is None else l * r
-    if isinstance(space, StreamPrefix):
-        b = codec_size(space.base)
-        return None if b is None else b**space.length
-    if isinstance(space, FunctionSpace):
-        a, r = codec_size(space.arg), codec_size(space.res)
-        return None if a is None or r is None else r**a
-    return None
+    try:
+        return math.prod(radices(space))
+    except NotEnumerable:
+        return None
 
 
 def space_size(space: Space) -> Optional[int]:
@@ -287,75 +411,16 @@ def space_size(space: Space) -> Optional[int]:
 
 def encode(space: Space, a) -> int:
     """Mixed-radix index of an element of a codec space."""
-    if isinstance(space, CyclicGroup):
-        return a % space.n
-    if isinstance(space, Terminal):
-        return 0
-    if isinstance(space, Product):
-        return encode(space.left, a[0]) * codec_size(space.right) + encode(space.right, a[1])
-    if isinstance(space, StreamPrefix):
-        b = codec_size(space.base)
-        i = 0
-        for x in a:
-            i = i * b + encode(space.base, x)
-        return i
-    if isinstance(space, FunctionSpace):
-        r = codec_size(space.res)
-        i = 0
-        for x in a:
-            i = i * r + encode(space.res, x)
-        return i
-    raise NotEnumerable(f"no integer codec for {space!r}")
+    return space.ops.encode(a)
 
 
 def decode(space: Space, i: int):
-    if isinstance(space, CyclicGroup):
-        return i % space.n
-    if isinstance(space, Terminal):
-        return ()
-    if isinstance(space, Product):
-        r = codec_size(space.right)
-        return (decode(space.left, i // r), decode(space.right, i % r))
-    if isinstance(space, StreamPrefix):
-        b = codec_size(space.base)
-        out = []
-        for _ in range(space.length):
-            out.append(decode(space.base, i % b))
-            i //= b
-        return tuple(reversed(out))
-    if isinstance(space, FunctionSpace):
-        r = codec_size(space.res)
-        n = space_size(space.arg)
-        out = []
-        for _ in range(n):
-            out.append(decode(space.res, i % r))
-            i //= r
-        return tuple(reversed(out))
-    raise NotEnumerable(f"no integer codec for {space!r}")
+    return space.ops.decode(i)
 
 
 def iter_space(space: Space) -> Iterator:
     """Every element exactly once, deterministic order (codec order where one exists)."""
-    if isinstance(space, Real):
-        raise NotEnumerable(f"{format_space(space)} is not enumerable")
-    if isinstance(space, BoundedInt):
-        return iter(range(space.lo, space.hi + 1))
-    if isinstance(space, Product):
-        return (
-            (l, r) for l in list(iter_space(space.left)) for r in iter_space(space.right)
-        )
-    if isinstance(space, StreamPrefix):
-        return (
-            t for t in itertools.product(list(iter_space(space.base)), repeat=space.length)
-        )
-    if isinstance(space, FunctionSpace):
-        n = space_size(space.arg)
-        return (t for t in itertools.product(list(iter_space(space.res)), repeat=n))
-    if isinstance(space, CyclicGroup):
-        return iter(range(space.n))
-    if isinstance(space, Terminal):
-        return iter([()])
-    raise TypeMismatch(f"unknown space {space!r}")
+    return space.ops.elements()
 
 
 def enumerate_space(space: Space, bound: int = DEFAULT_ENUM_BOUND) -> list:
@@ -373,31 +438,13 @@ def derive_seed(seed: int, *tags) -> int:
     return int.from_bytes(h[:8], "big")
 
 
-def _draw(space: Space, rng: random.Random):
-    if isinstance(space, CyclicGroup):
-        return rng.randrange(space.n)
-    if isinstance(space, BoundedInt):
-        return rng.randint(space.lo, space.hi)
-    if isinstance(space, Real):
-        return tuple(rng.uniform(REAL_SAMPLE_LO, REAL_SAMPLE_HI) for _ in range(space.dim))
-    if isinstance(space, StreamPrefix):
-        return tuple(_draw(space.base, rng) for _ in range(space.length))
-    if isinstance(space, Product):
-        l = _draw(space.left, rng)
-        return (l, _draw(space.right, rng))
-    if isinstance(space, Terminal):
-        return ()
-    if isinstance(space, FunctionSpace):
-        return tuple(_draw(space.res, rng) for _ in range(space_size(space.arg)))
-    raise TypeMismatch(f"unknown space {space!r}")
-
-
 def sample_space(space: Space, count: int, seed: int) -> list:
     """Deterministic sample of `count` elements (uniform per component)."""
     if count < 1:
         raise InvalidArgument("count must be >= 1")
     rng = random.Random(derive_seed(seed, "sample", format_space(space)))
-    return [_draw(space, rng) for _ in range(count)]
+    draw = space.ops.draw
+    return [draw(rng) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -518,10 +565,6 @@ def v_splice0(space: Space, i0: np.ndarray, i1: np.ndarray) -> np.ndarray:
     if isinstance(space, Terminal):
         return np.zeros_like(i0)
     raise TypeMismatch(f"splice needs a stream-shaped space, got {space!r}")
-
-
-def arange_for(space: Space) -> np.ndarray:
-    return np.arange(codec_size(space), dtype=_I64)
 
 
 # ---------------------------------------------------------------------------

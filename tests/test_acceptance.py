@@ -35,6 +35,7 @@ from diffkit.monad import (
     sharp,
 )
 from diffkit.morphisms import (
+    DEFAULT_STRATEGY,
     Auto,
     EqualityStrategy,
     Exhaustive,
@@ -245,7 +246,8 @@ def test_criterion_07_kleisli_correctness():
         ("smooth", Real(1), EqualityStrategy(Sampled(48, 15)), 4),
     ]:
         model = get_model(tag)
-        reports = check_kleisli_cdc(model, space, strat, subjects=n, seed=15)
+        reports = check_kleisli_cdc(model, space, strat, subjects=n, seed=15,
+                                    oracle_strat=DEFAULT_STRATEGY)
         if tag == "smooth":
             assert any(r.axiom == "CDC2-additivity" for r in reports)
         for r in reports:

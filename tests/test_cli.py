@@ -1,10 +1,14 @@
+import functools
 import json
 
 import jsonschema
 import pytest
 
+from diffkit import cli
 from diffkit.cli import REPORT_SCHEMA, main
 from diffkit.models import get_model
+from diffkit.monad import check_kleisli_cdc
+from diffkit.morphisms import DEFAULT_STRATEGY
 
 
 def run(capsys, *argv):
@@ -127,7 +131,10 @@ def test_algebra_check_with_nu_file(capsys, tmp_path):
     assert len(doc["results"]) == 2
 
 
-def test_monad_kleisli_lambda_flatness_subcommands(capsys):
+def test_monad_kleisli_lambda_flatness_subcommands(capsys, monkeypatch):
+    # cross-check every Kleisli composition under the default strategy
+    monkeypatch.setattr(cli, "check_kleisli_cdc", functools.partial(
+        check_kleisli_cdc, oracle_strat=DEFAULT_STRATEGY))
     code, out = run(capsys, "monad-laws", "--model", "findiff", "--space", "Z5")
     assert code == 0
     jsonschema.validate(json.loads(out), REPORT_SCHEMA)

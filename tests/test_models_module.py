@@ -11,7 +11,7 @@ from diffkit.kernel import (
 )
 from diffkit.models import get_model
 from diffkit.morphisms import EqualityStrategy, Exhaustive, Morphism, morphisms_equal
-from diffkit.spaces import BoundedInt, CyclicGroup, Product
+from diffkit.spaces import BoundedInt, CyclicGroup, Product, parse_space
 
 Z = BoundedInt(-100, 100)
 Z5 = CyclicGroup(5)
@@ -67,3 +67,11 @@ def test_module_axioms(axiom):
 def test_scalar_parameter_is_visible():
     assert get_model("module:r=7").r == 7
     assert mm.tag == "module:r=2"
+
+
+@pytest.mark.parametrize("text", ["(Z4 x Z6)", "(Z2 x Z4)", "(Z3 x Int[-5,5])"])
+def test_random_subjects_are_additive_across_mixed_moduli(text):
+    space = parse_space(text)
+    for seed in range(20):
+        for f in mm.random_subjects(space, 3, seed):
+            mm.require_additive(f)

@@ -25,6 +25,7 @@ from diffkit.monad import (
     sharp,
 )
 from diffkit.morphisms import (
+    DEFAULT_STRATEGY,
     Auto,
     EqualityStrategy,
     Exhaustive,
@@ -125,7 +126,7 @@ def test_kleisli_compose_spec_value():
     one = Morphism(Z, Z, lambda x: 1, name="const1")
     f = KleisliMap(Z, Z, identity(Z), one)
     g = KleisliMap(Z, Z, sq, zero_map(Z, Z))
-    assert kleisli_compose(fd, g, f)(3) == (9, 7)
+    assert kleisli_compose(fd, g, f, oracle_strat=DEFAULT_STRATEGY)(3) == (9, 7)
 
 
 def test_kleisli_general_shape():
@@ -135,7 +136,7 @@ def test_kleisli_general_shape():
     subs = fd.random_subjects(Z5, 4, seed=17)
     f = KleisliMap(Z5, Z5, subs[0], subs[1])
     g = KleisliMap(Z5, Z5, subs[2], subs[3])
-    got = kleisli_compose(fd, g, f)
+    got = kleisli_compose(fd, g, f, oracle_strat=DEFAULT_STRATEGY)
     for x in range(5):
         disp = (subs[0](x) + subs[1](x)) % 5
         a = subs[2](subs[0](x))
@@ -147,8 +148,10 @@ def test_kleisli_unit_laws():
     subs = fd.random_subjects(Z5, 2, seed=19)
     f = KleisliMap(Z5, Z5, subs[0], subs[1])
     idk = kleisli_identity(fd, Z5)
-    assert morphisms_equal(kleisli_compose(fd, idk, f).as_base(), f.as_base(), EX).passed
-    assert morphisms_equal(kleisli_compose(fd, f, idk).as_base(), f.as_base(), EX).passed
+    left = kleisli_compose(fd, idk, f, DEFAULT_STRATEGY)
+    right = kleisli_compose(fd, f, idk, DEFAULT_STRATEGY)
+    assert morphisms_equal(left.as_base(), f.as_base(), EX).passed
+    assert morphisms_equal(right.as_base(), f.as_base(), EX).passed
 
 
 def test_kleisli_compose_matches_definitional_everywhere():
@@ -197,7 +200,8 @@ def test_kleisli_derivative_of_identity_is_projection():
 ])
 def test_kleisli_cdc_suite(tag, space, strat, subjects):
     model = get_model(tag)
-    reports = check_kleisli_cdc(model, space, strat, subjects=subjects, seed=31)
+    reports = check_kleisli_cdc(model, space, strat, subjects=subjects, seed=31,
+                                oracle_strat=DEFAULT_STRATEGY)
     for rep in reports:
         assert rep.passed, (tag, rep.axiom, rep.counterexample)
     if tag == "smooth":
@@ -210,10 +214,10 @@ def test_kleisli_linear_iff_components_linear():
     lin = KleisliMap(Z5, Z5, dbl, dbl)
     nonlin = KleisliMap(Z5, Z5, dbl, sq)
     dk = kleisli_derivative(fd, lin)
-    want = kleisli_compose(fd, lin, kleisli_proj(1, Z5, Z5))
+    want = kleisli_compose(fd, lin, kleisli_proj(1, Z5, Z5), DEFAULT_STRATEGY)
     assert morphisms_equal(dk.as_base(), want.as_base(), EX).passed
     dk2 = kleisli_derivative(fd, nonlin)
-    want2 = kleisli_compose(fd, nonlin, kleisli_proj(1, Z5, Z5))
+    want2 = kleisli_compose(fd, nonlin, kleisli_proj(1, Z5, Z5), DEFAULT_STRATEGY)
     assert not morphisms_equal(dk2.as_base(), want2.as_base(), EX).passed
 
 

@@ -13,7 +13,6 @@ from diffkit.morphisms import (
     codes_at,
     from_table,
     morphisms_equal,
-    strategy_for,
     tabulate,
 )
 from diffkit.spaces import (
@@ -86,8 +85,8 @@ def test_real_tolerances():
 
 
 def test_auto_resolves_per_domain():
-    assert isinstance(strategy_for(Z5).mode, Exhaustive)
-    assert isinstance(strategy_for(Real(1)).mode, Sampled)
+    assert isinstance(EqualityStrategy(Auto()).resolve(Z5).mode, Exhaustive)
+    assert EqualityStrategy(Auto()).resolve(Real(1)).mode == Sampled(256, 0)
     auto = EqualityStrategy(Auto(8, 2), bound=3)
     assert isinstance(auto.resolve(Z5).mode, Sampled)  # 5 > bound 3
     assert isinstance(auto.resolve(CyclicGroup(2)).mode, Exhaustive)
