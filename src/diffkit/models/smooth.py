@@ -21,6 +21,7 @@ from ..spaces import (
     Space,
     derive_seed,
     flatten,
+    leafwise,
     leaves,
     sample_space,
     unflatten,
@@ -88,13 +89,12 @@ def d_exp(x):
 
 
 def _dualize(space: Space, x, y):
-    return unflatten(space, [Dual(a, b) for a, b in zip(flatten(space, x),
-                                                        flatten(space, y))])
+    return leafwise(space, lambda _, a, b: tuple(map(Dual, a, b)), x, y)
 
 
 def _tangent_part(space: Space, v):
-    return unflatten(space, [c.tangent if isinstance(c, Dual) else 0.0
-                             for c in flatten(space, v)])
+    return leafwise(space, lambda _, a: tuple([c.tangent if isinstance(c, Dual) else 0.0
+                                               for c in a]), v)
 
 
 def _componentwise(name: str, unary):

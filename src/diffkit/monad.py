@@ -49,7 +49,6 @@ from .morphisms import (
 )
 from .spaces import Product, Space, TERMINAL, format_space
 
-# the closed-form Kleisli composition's self-check: 8 sampled points
 DEFAULT_ORACLE = EqualityStrategy(Sampled(8, 1009))
 
 

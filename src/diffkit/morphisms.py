@@ -19,7 +19,7 @@ two are checked against each other in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -196,7 +196,8 @@ class EqualityStrategy:
 
     def with_seed(self, seed: int) -> "EqualityStrategy":
         if isinstance(self.mode, (Sampled, Auto)):
-            return replace(self, mode=replace(self.mode, seed=seed))
+            mode = type(self.mode)(self.mode.count, seed)
+            return EqualityStrategy(mode, self.abs_tol, self.rel_tol, self.bound)
         return self
 
     def resolve(self, dom: Space) -> "EqualityStrategy":
@@ -204,9 +205,12 @@ class EqualityStrategy:
         if not isinstance(self.mode, Auto):
             return self
         n = space_size(dom)
-        if n is not None and n <= self.bound:
-            return replace(self, mode=Exhaustive())
-        return replace(self, mode=Sampled(self.mode.count, self.mode.seed))
+        mode = (
+            Exhaustive()
+            if n is not None and n <= self.bound
+            else Sampled(self.mode.count, self.mode.seed)
+        )
+        return EqualityStrategy(mode, self.abs_tol, self.rel_tol, self.bound)
 
 
 DEFAULT_STRATEGY = EqualityStrategy(Auto())

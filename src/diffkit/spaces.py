@@ -154,16 +154,18 @@ class ElementOps(NamedTuple):
     elements: Callable
 
 
-def _fails(exc, msg: str):
+def _fails(exc, message):
     def fail(*_):
-        raise exc(msg)
+        raise exc(message())
 
     return fail
 
 
+@functools.lru_cache(maxsize=1024)
 def _build_ops(space: Space) -> ElementOps:
-    no_coords = _fails(TypeMismatch, f"cannot build values in {space!r}")
-    no_codec = _fails(NotEnumerable, f"no integer codec for {space!r}")
+    """Shared by equal spaces: law checks build the same stages afresh."""
+    no_coords = _fails(TypeMismatch, lambda: f"cannot build values in {space!r}")
+    no_codec = _fails(NotEnumerable, lambda: f"no integer codec for {space!r}")
     if isinstance(space, CyclicGroup):
         n = space.n
         return ElementOps(
@@ -211,7 +213,7 @@ def _build_ops(space: Space) -> ElementOps:
             lambda v, pos: (tuple(v[pos : pos + d]), pos + d),
             no_codec,
             no_codec,
-            _fails(NotEnumerable, f"{format_space(space)} is not enumerable"),
+            _fails(NotEnumerable, lambda: f"{format_space(space)} is not enumerable"),
         )
     if isinstance(space, (StreamPrefix, FunctionSpace)):
         # k elements of one space, acted on position by position; a code is
