@@ -43,7 +43,7 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -59,10 +59,18 @@ REAL_SAMPLE_HI = 10.0
 class Space:
     """Base class; concrete kinds below."""
 
-    @functools.cached_property
+    # a declared field, not a cached_property: reading `__dict__` would turn
+    # the instance's attributes into a plain dict and slow every field read
+    _ops: Optional["ElementOps"] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
     def ops(self) -> "ElementOps":
         """This space's element operations, built on first use and kept."""
-        return _build_ops(self)
+        ops = self._ops
+        if ops is None:
+            ops = _build_ops(self)
+            object.__setattr__(self, "_ops", ops)
+        return ops
 
 
 @dataclass(frozen=True)
@@ -132,12 +140,12 @@ TERMINAL = Terminal()
 class ElementOps(NamedTuple):
     """The element operations of one space (`Space.ops`).
 
-    Each is a closure over the children's prebuilt operations, so a call
-    walks the element and never the space. `scale` takes `(r, a)`,
-    `equal` takes `(a, b, abs_tol, rel_tol)`, `draw` takes a
-    `random.Random`, `unflatten` takes `(coords, pos)` and returns the
-    element and the next position, and `elements()` iterates over the
-    enumeration. An operation the space lacks raises when called.
+    Each is a closure over the children's prebuilt operations, so a call walks
+    the element and never the space. `scale` takes `(r, a)`, `equal` takes
+    `(a, b, abs_tol, rel_tol)`, `draw` a `random.Random`, and `unflatten`
+    `(coords, pos)`, returning the element and the next position.
+    `elements()` iterates over the `size` elements of the enumeration (size
+    None: not enumerable). An operation the space lacks raises when called.
     """
 
     zero: object
@@ -152,6 +160,7 @@ class ElementOps(NamedTuple):
     encode: Callable
     decode: Callable
     elements: Callable
+    size: Optional[int]
 
 
 def _fails(exc, message):
@@ -181,6 +190,7 @@ def _build_ops(space: Space) -> ElementOps:
             lambda a: a % n,
             lambda i: i % n,
             lambda: iter(range(n)),
+            n,
         )
     if isinstance(space, BoundedInt):
         lo, hi = space.lo, space.hi
@@ -197,6 +207,7 @@ def _build_ops(space: Space) -> ElementOps:
             no_codec,
             no_codec,
             lambda: iter(range(lo, hi + 1)),
+            hi - lo + 1,
         )
     if isinstance(space, Real):
         d = space.dim
@@ -214,6 +225,7 @@ def _build_ops(space: Space) -> ElementOps:
             no_codec,
             no_codec,
             _fails(NotEnumerable, lambda: f"{format_space(space)} is not enumerable"),
+            None,
         )
     if isinstance(space, (StreamPrefix, FunctionSpace)):
         # k elements of one space, acted on position by position; a code is
@@ -224,7 +236,7 @@ def _build_ops(space: Space) -> ElementOps:
             base, k = space.res, space_size(space.arg)
             if k is None:
                 raise NotEnumerable(f"{format_space(space)} has a non-enumerable argument")
-        z, add, neg, sub, scale, equal, draw, _, _, enc, dec, elems = base.ops
+        z, add, neg, sub, scale, equal, draw, _, _, enc, dec, elems, bs = base.ops
         b = codec_size(base)
 
         def encode(a):
@@ -253,12 +265,13 @@ def _build_ops(space: Space) -> ElementOps:
             no_codec if b is None else encode,
             no_codec if b is None else decode,
             lambda: itertools.product(elems(), repeat=k),
+            None if bs is None else bs**k,
         )
     if isinstance(space, Product):
         (lz, ladd, lneg, lsub, lscale, leq, ldraw, lflat, lunflat, lenc, ldec,
-         lelems) = space.left.ops
+         lelems, ls) = space.left.ops
         (rz, radd, rneg, rsub, rscale, req, rdraw, rflat, runflat, renc, rdec,
-         relems) = space.right.ops
+         relems, rs) = space.right.ops
         rn = codec_size(space.right)
 
         def unflatten(v, pos):
@@ -279,35 +292,37 @@ def _build_ops(space: Space) -> ElementOps:
             no_codec if rn is None else lambda a: lenc(a[0]) * rn + renc(a[1]),
             no_codec if rn is None else lambda i: (ldec(i // rn), rdec(i % rn)),
             lambda: itertools.product(lelems(), relems()),
+            None if ls is None or rs is None else ls * rs,
         )
     if isinstance(space, Terminal):
         unit = lambda *_: ()  # noqa: E731
         return ElementOps((), unit, unit, unit, unit, lambda *_: True, unit, lambda a: [],
-                          lambda v, pos: ((), pos), lambda a: 0, unit, lambda: iter([()]))
+                          lambda v, pos: ((), pos), lambda a: 0, unit, lambda: iter([()]), 1)
     raise TypeMismatch(f"unknown space {space!r}")
 
 
+# `space._ops or space.ops`: one attribute read, not a property call
 def zero_elem(space: Space):
-    return space.ops.zero
+    return (space._ops or space.ops).zero
 
 
 def add_elem(space: Space, a, b):
-    return space.ops.add(a, b)
+    return (space._ops or space.ops).add(a, b)
 
 
 def neg_elem(space: Space, a):
-    return space.ops.neg(a)
+    return (space._ops or space.ops).neg(a)
 
 
 def sub_elem(space: Space, a, b):
     """`a + (-b)` leaf by leaf (with Dual entries `a - b` may differ in the
     sign of a zero tangent)."""
-    return space.ops.sub(a, b)
+    return (space._ops or space.ops).sub(a, b)
 
 
 def scale_elem(space: Space, r, a):
     """r-fold scalar action; integer r on discrete spaces, any real on Real."""
-    return space.ops.scale(r, a)
+    return (space._ops or space.ops).scale(r, a)
 
 
 def truncate_elem(space: Space, a):
@@ -346,7 +361,7 @@ def _real_close(x, y, abs_tol: float, rel_tol: float) -> bool:
 
 def elements_equal(space: Space, a, b, abs_tol: float = 0.0, rel_tol: float = 0.0) -> bool:
     """Exact comparison everywhere except Real leaves, which use tolerances."""
-    return space.ops.equal(a, b, abs_tol, rel_tol)
+    return (space._ops or space.ops).equal(a, b, abs_tol, rel_tol)
 
 
 def leaves(space: Space) -> tuple[Space, ...]:
@@ -360,20 +375,20 @@ def leafwise(space: Space, fn, *xs):
     """`fn(leaf, *parts)` at every leaf of a product tree, `parts` being the
     leaf's components of the elements `xs`; Terminal gives ()."""
     if isinstance(space, Product):
-        return (leafwise(space.left, fn, *[x[0] for x in xs]),
-                leafwise(space.right, fn, *[x[1] for x in xs]))
+        lefts, rights = zip(*xs)
+        return (leafwise(space.left, fn, *lefts), leafwise(space.right, fn, *rights))
     return () if isinstance(space, Terminal) else fn(space, *xs)
 
 
 def flatten(space: Space, x) -> list:
     """Scalar coordinates of `x` in leaf order: one per Z<n> or Int leaf, d
     per R^d. Stream and function leaves have none (TypeMismatch)."""
-    return space.ops.flatten(x)
+    return (space._ops or space.ops).flatten(x)
 
 
 def unflatten(space: Space, coords):
     """The element of `space` with these coordinates (Z<n> ones reduced mod n)."""
-    return space.ops.unflatten(coords, 0)[0]
+    return (space._ops or space.ops).unflatten(coords, 0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -395,34 +410,21 @@ def codec_size(space: Space) -> Optional[int]:
 
 def space_size(space: Space) -> Optional[int]:
     """Enumeration size (BoundedInt uses its window); None if not enumerable."""
-    if isinstance(space, BoundedInt):
-        return space.hi - space.lo + 1
-    if isinstance(space, Real):
-        return None
-    if isinstance(space, Product):
-        l, r = space_size(space.left), space_size(space.right)
-        return None if l is None or r is None else l * r
-    if isinstance(space, StreamPrefix):
-        b = space_size(space.base)
-        return None if b is None else b**space.length
-    if isinstance(space, FunctionSpace):
-        a, r = space_size(space.arg), space_size(space.res)
-        return None if a is None or r is None else r**a
-    return codec_size(space)
+    return (space._ops or space.ops).size
 
 
 def encode(space: Space, a) -> int:
     """Mixed-radix index of an element of a codec space."""
-    return space.ops.encode(a)
+    return (space._ops or space.ops).encode(a)
 
 
 def decode(space: Space, i: int):
-    return space.ops.decode(i)
+    return (space._ops or space.ops).decode(i)
 
 
 def iter_space(space: Space) -> Iterator:
     """Every element exactly once, deterministic order (codec order where one exists)."""
-    return space.ops.elements()
+    return (space._ops or space.ops).elements()
 
 
 def enumerate_space(space: Space, bound: int = DEFAULT_ENUM_BOUND) -> list:
@@ -445,7 +447,7 @@ def sample_space(space: Space, count: int, seed: int) -> list:
     if count < 1:
         raise InvalidArgument("count must be >= 1")
     rng = random.Random(derive_seed(seed, "sample", format_space(space)))
-    draw = space.ops.draw
+    draw = (space._ops or space.ops).draw
     return [draw(rng) for _ in range(count)]
 
 

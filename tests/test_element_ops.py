@@ -210,6 +210,46 @@ def ref_decode(space, i):
     raise NotEnumerable(f"no integer codec for {space!r}")
 
 
+def ref_codec_size(space):
+    """Carrier size for spaces closed under the group ops; None otherwise.
+
+    BoundedInt and Real are excluded: their carriers are infinite even
+    though BoundedInt has a finite enumeration window.
+    """
+    if isinstance(space, CyclicGroup):
+        return space.n
+    if isinstance(space, Terminal):
+        return 1
+    if isinstance(space, Product):
+        l, r = ref_codec_size(space.left), ref_codec_size(space.right)  # noqa: E741
+        return None if l is None or r is None else l * r
+    if isinstance(space, StreamPrefix):
+        b = ref_codec_size(space.base)
+        return None if b is None else b**space.length
+    if isinstance(space, FunctionSpace):
+        a, r = ref_codec_size(space.arg), ref_codec_size(space.res)
+        return None if a is None or r is None else r**a
+    return None
+
+
+def ref_space_size(space):
+    """Enumeration size (BoundedInt uses its window); None if not enumerable."""
+    if isinstance(space, BoundedInt):
+        return space.hi - space.lo + 1
+    if isinstance(space, Real):
+        return None
+    if isinstance(space, Product):
+        l, r = ref_space_size(space.left), ref_space_size(space.right)  # noqa: E741
+        return None if l is None or r is None else l * r
+    if isinstance(space, StreamPrefix):
+        b = ref_space_size(space.base)
+        return None if b is None else b**space.length
+    if isinstance(space, FunctionSpace):
+        a, r = ref_space_size(space.arg), ref_space_size(space.res)
+        return None if a is None or r is None else r**a
+    return ref_codec_size(space)
+
+
 def ref_iter_space(space):
     """Every element exactly once, deterministic order (codec order where one exists)."""
     if isinstance(space, Real):
@@ -319,6 +359,8 @@ def test_sampling_draws_the_same_points(text, seed, count):
 @pytest.mark.parametrize("text", SPACES)
 def test_enumeration_order_is_unchanged(text):
     space = _function_space(text)
+    assert space_size(space) == ref_space_size(space)
+    assert codec_size(space) == ref_codec_size(space)
     if space_size(space) is None:
         with pytest.raises(NotEnumerable):
             list(iter_space(space))
