@@ -116,8 +116,13 @@ def simple_stream_derivative(f: Morphism) -> Morphism:
     return Morphism(Product(a, a), b, fn, name=f"dz[{f.name}]")
 
 
-def _overwrite_tail(p: int, space: Space, x, y=()):
-    """Keep x on indices < p, take y from index p on (without y: x's head)."""
+def _head(p: int, space: Space, x):
+    """Indices < p of a stream leaf."""
+    return tuple(x[:p]) if isinstance(space, StreamPrefix) else ()
+
+
+def _overwrite_tail(p: int, space: Space, x, y):
+    """Keep x on indices < p, take y from index p on."""
     return tuple(x[:p]) + tuple(y[p:]) if isinstance(space, StreamPrefix) else ()
 
 
@@ -130,9 +135,10 @@ def causality_check(f: Morphism, strat: EqualityStrategy = DEFAULT_STRATEGY) -> 
     ys = sample_space(f.dom, count, derive_seed(seed, "causal-y"))
     for x, y in zip(xs, ys):
         for p in range(k + 1):
-            cut = functools.partial(_overwrite_tail, p)
-            a, b = f(x), f(leafwise(f.dom, cut, x, y))
-            if leafwise(f.cod, cut, a) != leafwise(f.cod, cut, b):
+            x2 = leafwise(f.dom, functools.partial(_overwrite_tail, p), x, y)
+            a, b = f(x), f(x2)
+            head = functools.partial(_head, p)
+            if leafwise(f.cod, head, a) != leafwise(f.cod, head, b):
                 return False
     return True
 

@@ -256,7 +256,9 @@ def kleisli_compose(
                            compose(T_map(model, g.as_base()), f.as_base()))
     rep = morphisms_equal(out.as_base(), definitional, oracle_strat)
     if not rep.passed:
-        raise DiffkitError(f"Kleisli composition self-check failed: {rep.counterexample}")
+        raise DiffkitError(
+            f"Kleisli composition self-check failed: {rep.counterexample}"
+        )
     return out
 
 

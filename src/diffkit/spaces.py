@@ -170,9 +170,7 @@ def _fails(exc, message):
     return fail
 
 
-@functools.lru_cache(maxsize=1024)
 def _build_ops(space: Space) -> ElementOps:
-    """Shared by equal spaces: law checks build the same stages afresh."""
     no_coords = _fails(TypeMismatch, lambda: f"cannot build values in {space!r}")
     no_codec = _fails(NotEnumerable, lambda: f"no integer codec for {space!r}")
     if isinstance(space, CyclicGroup):
@@ -295,9 +293,21 @@ def _build_ops(space: Space) -> ElementOps:
             None if ls is None or rs is None else ls * rs,
         )
     if isinstance(space, Terminal):
-        unit = lambda *_: ()  # noqa: E731
-        return ElementOps((), unit, unit, unit, unit, lambda *_: True, unit, lambda a: [],
-                          lambda v, pos: ((), pos), lambda a: 0, unit, lambda: iter([()]), 1)
+        return ElementOps(
+            (),
+            lambda a, b: (),
+            lambda a: (),
+            lambda a, b: (),
+            lambda r, a: (),
+            lambda a, b, at, rt: True,
+            lambda rng: (),
+            lambda a: [],
+            lambda v, pos: ((), pos),
+            lambda a: 0,
+            lambda i: (),
+            lambda: iter([()]),
+            1,
+        )
     raise TypeMismatch(f"unknown space {space!r}")
 
 

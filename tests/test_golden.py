@@ -10,6 +10,7 @@ CHANGES.md; `python tests/test_golden.py` rewrites every golden file
 from the code in the checkout.
 """
 
+import functools
 import json
 import re
 import sys
@@ -79,9 +80,16 @@ def golden_doc(argv, code: int, out: str) -> dict:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_report(name, capsys, monkeypatch):
+    from diffkit import cli
     from diffkit.cli import main
+    from diffkit.monad import check_kleisli_cdc
+    from diffkit.morphisms import DEFAULT_STRATEGY
 
     monkeypatch.delenv("DIFFKIT_SEED", raising=False)
+    # cross-check every Kleisli composition under the default strategy; the
+    # self-check only raises on a disagreement, so the report is the CLI's
+    monkeypatch.setattr(cli, "check_kleisli_cdc", functools.partial(
+        check_kleisli_cdc, oracle_strat=DEFAULT_STRATEGY))
     want = json.loads((GOLDEN / f"{name}.json").read_text())
     code = main(list(CASES[name]))
     got = golden_doc(CASES[name], code, capsys.readouterr().out)
