@@ -8,20 +8,26 @@ shared machine measure the machine more than the code.
 import numpy as np
 import pytest
 
+from diffkit.models import get_model
 from diffkit.spaces import (
     add_elem,
     codec_size,
     decode,
     parse_space,
     sample_space,
+    splice0_elem,
+    truncate_elem,
     v_add,
+    v_splice0,
     v_sub,
+    v_trunc,
 )
 
 Z5xZ5 = parse_space("(Z5 x Z5)")
 Z5x4 = parse_space("((Z5 x Z5) x (Z5 x Z5))")
 PAIRS = 390_625
 STREAM = parse_space("Stream(Z3,8)")
+STREAMS2 = parse_space("(Stream(Z3,4) x Stream(Z3,4))")
 INT4 = parse_space("(Int[-9,9] x (Int[-9,9] x (Int[-9,9] x (Int[-9,9] x Int[-9,9]))))")
 
 
@@ -58,3 +64,37 @@ def test_add_elem_nested(benchmark, space):
     pairs = list(zip(sample_space(space, 10_000, 1), sample_space(space, 10_000, 2)))
     out = benchmark(lambda: [add_elem(space, a, b) for a, b in pairs])
     assert len(out) == len(pairs)
+
+
+@pytest.mark.benchmark(group="prefix surgery on codes of (Stream(Z3,4) x Stream(Z3,4))")
+def test_v_trunc(benchmark):
+    i, _ = _codes(STREAMS2, 3)
+    assert len(benchmark(v_trunc, STREAMS2, i)) == PAIRS
+
+
+@pytest.mark.benchmark(group="prefix surgery on codes of (Stream(Z3,4) x Stream(Z3,4))")
+def test_v_splice0(benchmark):
+    i, j = _codes(STREAMS2, 3)
+    assert len(benchmark(v_splice0, STREAMS2, i, j)) == PAIRS
+
+
+@pytest.mark.benchmark(group="prefix surgery per element on Stream(Z3,8)")
+def test_truncate_elem(benchmark):
+    xs = sample_space(STREAM, 10_000, 1)
+    out = benchmark(lambda: [truncate_elem(STREAM, x) for x in xs])
+    assert len(out) == len(xs)
+
+
+@pytest.mark.benchmark(group="prefix surgery per element on Stream(Z3,8)")
+def test_splice0_elem(benchmark):
+    pairs = list(zip(sample_space(STREAM, 10_000, 1), sample_space(STREAM, 10_000, 2)))
+    out = benchmark(lambda: [splice0_elem(STREAM, a, b) for a, b in pairs])
+    assert len(out) == len(pairs)
+
+
+@pytest.mark.benchmark(group="stream subject on Stream(Z3,8)")
+def test_stream_subject(benchmark):
+    (f,) = get_model("streams:k=8").random_subjects(STREAM, 1, 42)
+    xs = sample_space(STREAM, 10_000, 1)
+    out = benchmark(lambda: [f(x) for x in xs])
+    assert len(out) == len(xs)

@@ -121,10 +121,7 @@ def check_change_action(
                  compose(ca.oplus, pair(compose(f, h), compose(g, h))))
             )
 
-    return report_from_equalities(
-        "CA1+CA2", model_tag, format_space(A), pairs, strat,
-        seed=getattr(strat.mode, "seed", 0),
-    )
+    return report_from_equalities("CA1+CA2", model_tag, format_space(A), pairs, strat)
 
 
 def check_cad_derivative(
@@ -171,7 +168,4 @@ def check_cad_derivative(
     rhs = compose(ca_b.zero, terminal_map(A))
     pairs.append(("CAD2 zero", lhs, rhs))
 
-    return report_from_equalities(
-        "CAD1+CAD2", model_tag, f.name, pairs, strat,
-        seed=getattr(strat.mode, "seed", 0),
-    )
+    return report_from_equalities("CAD1+CAD2", model_tag, f.name, pairs, strat)

@@ -18,7 +18,8 @@ import time
 
 from .changeaction import check_cad_derivative, check_change_action, induced_action
 from .errors import DiffkitError, InvalidArgument
-from .kernel import AXIOM_IDS, DifferenceModel, check_axiom, check_flatness, pool_report
+from .kernel import (AXIOM_IDS, FLATNESS_IDS, DifferenceModel, check_axiom, check_flatness,
+                     pool_report)
 from .lambda_closed import run_lambda_suite
 from .models import get_model, load_table_primitive
 from .monad import (
@@ -322,10 +323,8 @@ def run_check(
                                                         strat, model.tag),
                 "random subjects"))
             continue
-        if ax in ("F1", "F2", "F3", "F4", "OplusEps"):
-            rep = check_flatness(model, space, strat, parts=(ax,))
-            rep.axiom = ax
-            results.append(rep)
+        if ax in FLATNESS_IDS:
+            results.append(check_flatness(model, space, strat, parts=(ax,)))
             continue
         results.append(pool_report(
             pool, lambda f, g: check_axiom(model, ax, [f, g], strat), "random subjects"))

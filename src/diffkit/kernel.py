@@ -617,12 +617,13 @@ def sides_oplus_eps(cat, f, g, model):
 # ---------------------------------------------------------------------------
 # axiom dispatch
 
+FLATNESS_IDS = ("F1", "F2", "F3", "F4", "OplusEps")
 AXIOM_IDS = [
     "CdC0", "CdC1", "CdC2", "CdC3", "CdC4", "CdC5", "CdC6", "CdC7",
     "CdC6a", "CdC7a", "E1", "E2", "E3", "CDC2-additivity",
     "DEps-i", "DEps-ii", "DEps-iii", "Eq1-strong",
     "Linearity", "EpsLinearity", "EpsVanishing",
-    "F1", "F2", "F3", "F4", "OplusEps",
+    *FLATNESS_IDS,
 ]
 
 # arity: how many subject morphisms a schema consumes ("space" = per-object)
@@ -652,9 +653,8 @@ _AXIOM_TABLE = {
 
 
 def axiom_sides(cat, model, axiom: str, subjects: Sequence[Morphism]):
-    if axiom in ("F1", "F2", "F3", "F4", "OplusEps"):
-        space = subjects[0].dom if subjects else model.default_space
-        return _flatness_sides(cat, model, axiom, space, subjects)
+    if axiom in FLATNESS_IDS:
+        raise ShapeMismatch(f"{axiom} is handled by check_flatness")
     if axiom not in _AXIOM_TABLE:
         raise ShapeMismatch(f"unknown axiom id {axiom!r}")
     schema, arity = _AXIOM_TABLE[axiom]
@@ -681,27 +681,6 @@ def axiom_sides(cat, model, axiom: str, subjects: Sequence[Morphism]):
     return schema(cat, f, g)
 
 
-def _flatness_sides(cat, model, axiom, space, subjects):
-    if axiom == "F2":
-        return sides_f2(cat, space, model)
-    if axiom == "F3":
-        # the map-flatness condition, checked on the supplied subjects
-        out = []
-        for f in subjects:
-            df = cat.derivative(f)
-            a = f.dom
-            p0, p1 = projection(0, a, a), projection(1, a, a)
-            lhs = cat.epsilon(df)
-            rhs = cat.compose(df, cat.pair(p0, cat.epsilon(p1)))
-            out.append((f"eps(d {f.name}) = d {f.name}<x,eps y>", lhs, rhs))
-        return out
-    if axiom == "OplusEps":
-        f = subjects[0] if subjects else identity(space)
-        g = subjects[1] if len(subjects) > 1 else f
-        return sides_oplus_eps(cat, f, g, model)
-    raise ShapeMismatch(f"{axiom} is handled by check_flatness")
-
-
 def check_axiom(
     model: DifferenceModel,
     axiom: str,
@@ -709,19 +688,17 @@ def check_axiom(
     strat: EqualityStrategy = DEFAULT_STRATEGY,
     cat=None,
 ) -> LawReport:
-    """Instantiate one axiom on the given subjects and compare both sides."""
+    """Instantiate one axiom on the given subjects and compare both sides; a
+    flatness id runs `check_flatness` on the first subject's domain."""
     if isinstance(subjects, Morphism):
         subjects = [subjects]
-    if axiom in ("F1", "F4"):
+    if axiom in FLATNESS_IDS:
         space = subjects[0].dom if subjects else model.default_space
-        rep = check_flatness(model, space, strat, parts=(axiom,))
-        rep.axiom = axiom
-        return rep
+        return check_flatness(model, space, strat, parts=(axiom,))
     cat = cat or BaseCat(model)
     pairs = axiom_sides(cat, model, axiom, list(subjects))
     subject = ",".join(m.name for m in subjects) if subjects else "-"
-    return report_from_equalities(axiom, model.tag, subject, pairs, strat,
-                                  seed=_strat_seed(strat), equal_fn=cat.equal)
+    return report_from_equalities(axiom, model.tag, subject, pairs, strat, equal_fn=cat.equal)
 
 
 def pool_report(pool: Sequence, check, noun: str) -> Optional[LawReport]:
@@ -741,10 +718,6 @@ def pool_report(pool: Sequence, check, noun: str) -> Optional[LawReport]:
             if agg.counterexample is None:
                 agg.counterexample = rep.counterexample
     return agg
-
-
-def _strat_seed(strat: EqualityStrategy) -> int:
-    return getattr(strat.mode, "seed", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -772,8 +745,7 @@ def is_linear(
 ) -> tuple[bool, LawReport]:
     cat = BaseCat(model)
     pairs = sides_linearity(cat, f)
-    rep = report_from_equalities("Linearity", model.tag, f.name, pairs, strat,
-                                 seed=_strat_seed(strat))
+    rep = report_from_equalities("Linearity", model.tag, f.name, pairs, strat)
     if rep.passed and not is_group_homomorphism(f, strat):
         # a linear map must be additive; surfacing the inconsistency beats hiding it
         rep.violations += 1
@@ -817,7 +789,7 @@ def _right_injectivity(model, space, strat):
                 seen.setdefault(key, y)
         return True, checked, None, None
     # not enumerable: sampled refutation search only; no sound positive verdict
-    pts = sample_space(Product(space, Product(space, space)), 512, _strat_seed(strat))
+    pts = sample_space(Product(space, Product(space, space)), 512, strat.seed)
     checked = 0
     for x, (y1, y2) in pts:
         checked += 1
@@ -837,7 +809,7 @@ def check_flatness(
     model: DifferenceModel,
     space: Space,
     strat: EqualityStrategy = DEFAULT_STRATEGY,
-    parts: Sequence[str] = ("F1", "F2", "F3", "F4", "OplusEps"),
+    parts: Sequence[str] = FLATNESS_IDS,
 ) -> LawReport:
     """Flatness of the induced change action on one object.
 
@@ -852,11 +824,10 @@ def check_flatness(
     violations = 0
     counterexample = None
     verdict = None
-    seed = _strat_seed(strat)
 
     def run(pairs, label):
         nonlocal checked, violations, counterexample
-        rep = report_from_equalities(label, model.tag, format_space(space), pairs, strat, seed)
+        rep = report_from_equalities(label, model.tag, format_space(space), pairs, strat)
         checked += rep.checked
         violations += rep.violations
         if counterexample is None and rep.counterexample is not None:
@@ -877,7 +848,14 @@ def check_flatness(
                 if p.dom == space and p.cod == space:
                     prims.append(p)
             if prims:
-                run(_flatness_sides(cat, model, "F3", space, prims), "F3")
+                # the map-flatness condition eps(d f) = d f<x,eps y>
+                p0, p1 = projection(0, space, space), projection(1, space, space)
+                pairs = []
+                for p in prims:
+                    dp = cat.derivative(p)
+                    pairs.append((f"eps(d {p.name}) = d {p.name}<x,eps y>", cat.epsilon(dp),
+                                  cat.compose(dp, cat.pair(p0, cat.epsilon(p1)))))
+                run(pairs, "F3")
         elif part == "F4":
             ok, n, cx, verd = _right_injectivity(model, space, strat)
             checked += n
@@ -892,7 +870,7 @@ def check_flatness(
             g = model.epsilon(identity(space))
             g.name = "eps(id)"
             run(sides_oplus_eps(cat, f, g, model), "OplusEps")
-            subs = model.random_subjects(space, 2, derive_seed(seed, "oplus-eps"))
+            subs = model.random_subjects(space, 2, derive_seed(strat.seed, "oplus-eps"))
             if len(subs) == 2:
                 run(sides_oplus_eps(cat, subs[0], subs[1], model), "OplusEps")
 
@@ -904,6 +882,6 @@ def check_flatness(
         checked=checked,
         violations=violations,
         counterexample=counterexample,
-        seed=seed,
+        seed=strat.seed,
         verdict=verdict if violations == 0 else None,
     )

@@ -138,8 +138,7 @@ def check_closed_left_additive(
         ("curry 0 = 0",
          curry(zero_map(f.dom, f.cod)), zero_map(a, function_space(b, f.cod))),
     ]
-    return report_from_equalities("ClosedLeftAdditive", model.tag, f.name, pairs,
-                                  strat, seed=getattr(strat.mode, "seed", 0))
+    return report_from_equalities("ClosedLeftAdditive", model.tag, f.name, pairs, strat)
 
 
 def _partial_first_arg(model: DifferenceModel, f: Morphism) -> Morphism:
@@ -167,8 +166,7 @@ def check_dlambda_axioms(
         ("curry(eps f) = eps(curry f)",
          curry(model.epsilon(f)), model.epsilon(curry(f))),
     ]
-    return report_from_equalities("CdLambda1+2", model.tag, f.name, pairs, strat,
-                                  seed=getattr(strat.mode, "seed", 0))
+    return report_from_equalities("CdLambda1+2", model.tag, f.name, pairs, strat)
 
 
 def check_ev_derivative_identities(
@@ -205,9 +203,7 @@ def check_ev_derivative_identities(
         ("ev-derivative decomposition (i)", lhs, rhs_i),
         ("ev-derivative decomposition (ii)", lhs, rhs_ii),
     ]
-    return report_from_equalities("EvDerivative", model.tag,
-                                  f"{g.name};{f.name}", pairs, strat,
-                                  seed=getattr(strat.mode, "seed", 0))
+    return report_from_equalities("EvDerivative", model.tag, f"{g.name};{f.name}", pairs, strat)
 
 
 def run_lambda_suite(
@@ -242,13 +238,10 @@ def run_lambda_suite(
             ("uncurry(curry g) = g", uncurry(curry(g)), g),
             ("curry(uncurry k) = k", curry(uncurry(curry(g))), curry(g)),
         ]
-        reports.append(report_from_equalities(
-            "CurryRoundTrip", model.tag, g.name, pairs, strat,
-            seed=getattr(strat.mode, "seed", 0)))
+        reports.append(report_from_equalities("CurryRoundTrip", model.tag, g.name, pairs, strat))
     swm = sw(pool[0], pool[0], pool[0])
     ss = compose(swm, sw(pool[0], pool[0], pool[0]))
     reports.append(report_from_equalities(
         "SwInvolution", model.tag, format_space(pool[0]),
-        [("sw . sw = 1", ss, identity(ss.dom))], strat,
-        seed=getattr(strat.mode, "seed", 0)))
+        [("sw . sw = 1", ss, identity(ss.dom))], strat))
     return reports

@@ -30,6 +30,7 @@ from ..spaces import (
     unflatten,
     v_add,
     v_sub,
+    zero_elem,
 )
 
 
@@ -68,8 +69,9 @@ def _scalar_primitive(name: str, scalar_fn):
 
 def _poly_subject(space: Space, rng: random.Random, name: str) -> Morphism:
     """Total nonlinear endomap on integer carriers: per-output polynomial of
-    a random weighting of the input leaves (degree <= 2, small coefficients)."""
-    width = len(leaves(space))
+    a random weighting of the input coordinates (degree <= 2, small
+    coefficients)."""
+    width = len(flatten(space, zero_elem(space)))
     specs = []
     for _ in range(width):
         weights = [rng.randint(-2, 2) for _ in range(width)]

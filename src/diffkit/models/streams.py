@@ -14,7 +14,6 @@ difference combinator (the identity's derivative truncates).
 
 from __future__ import annotations
 
-import functools
 import random
 
 import numpy as np
@@ -41,12 +40,13 @@ from ..spaces import (
     derive_seed,
     elements_equal,
     format_space,
-    leafwise,
     leaves,
     sample_space,
     splice0_elem,
+    splice_at,
     sub_elem,
     truncate_elem,
+    unflatten,
     v_add,
     v_splice0,
     v_sub,
@@ -116,29 +116,18 @@ def simple_stream_derivative(f: Morphism) -> Morphism:
     return Morphism(Product(a, a), b, fn, name=f"dz[{f.name}]")
 
 
-def _head(p: int, space: Space, x):
-    """Indices < p of a stream leaf."""
-    return tuple(x[:p]) if isinstance(space, StreamPrefix) else ()
-
-
-def _overwrite_tail(p: int, space: Space, x, y):
-    """Keep x on indices < p, take y from index p on."""
-    return tuple(x[:p]) + tuple(y[p:]) if isinstance(space, StreamPrefix) else ()
-
-
 def causality_check(f: Morphism, strat: EqualityStrategy = DEFAULT_STRATEGY) -> bool:
-    """Inputs agreeing on a prefix must give outputs agreeing on that prefix."""
+    """Inputs agreeing on a prefix must give outputs agreeing on that prefix
+    (x spliced onto y at p; output prefixes compared as splices onto zero)."""
     k = max((s.length for s in leaves(f.dom) if isinstance(s, StreamPrefix)), default=0)
     count = getattr(strat.mode, "count", 64)
-    seed = getattr(strat.mode, "seed", 0)
-    xs = sample_space(f.dom, count, derive_seed(seed, "causal-x"))
-    ys = sample_space(f.dom, count, derive_seed(seed, "causal-y"))
+    xs = sample_space(f.dom, count, derive_seed(strat.seed, "causal-x"))
+    ys = sample_space(f.dom, count, derive_seed(strat.seed, "causal-y"))
+    zero = zero_elem(f.cod)
     for x, y in zip(xs, ys):
         for p in range(k + 1):
-            x2 = leafwise(f.dom, functools.partial(_overwrite_tail, p), x, y)
-            a, b = f(x), f(x2)
-            head = functools.partial(_head, p)
-            if leafwise(f.cod, head, a) != leafwise(f.cod, head, b):
+            a, b = f(x), f(splice_at(f.dom, p, x, y))
+            if splice_at(f.cod, p, a, zero) != splice_at(f.cod, p, b, zero):
                 return False
     return True
 
@@ -159,19 +148,13 @@ class StreamModel(DifferenceModel):
     # -- primitive factories (all causal by construction)
 
     @staticmethod
-    def _scalar(base: Space, fn, v):
-        if isinstance(base, CyclicGroup):
-            return fn(v) % base.n
-        return fn(v)
-
-    def _pointwise(self, name, scalar_fn):
+    def _pointwise(name, scalar_fn):
         def factory(space: Space) -> Morphism:
             if not isinstance(space, StreamPrefix):
                 raise ModelRestriction(f"{name} needs a stream prefix space")
-            base = space.base
             return Morphism(
                 space, space,
-                lambda a, _b=base: tuple(self._scalar(_b, scalar_fn, v) for v in a),
+                lambda a, _s=space: unflatten(_s, [scalar_fn(v) for v in a]),
                 name=name,
             )
 
@@ -204,8 +187,8 @@ class StreamModel(DifferenceModel):
     # -- model interface
 
     def legal_space(self, space: Space) -> bool:
-        return all(isinstance(s, StreamPrefix)
-                   and all(isinstance(t, (CyclicGroup, BoundedInt)) for t in leaves(s.base))
+        """Products of stream prefixes whose bases are Z<n> or Int."""
+        return all(isinstance(s, StreamPrefix) and isinstance(s.base, (CyclicGroup, BoundedInt))
                    for s in leaves(space))
 
     @property
@@ -244,7 +227,8 @@ class StreamModel(DifferenceModel):
     def random_subjects(self, space: Space, count: int, seed: int) -> list[Morphism]:
         """Causal subjects: linear head, nonlinear tail with a one-step lag.
 
-        out[0] = k*a[0] and out[i+1] = p(a[i+1]) + q(a[i]). The head stays
+        out[0] = k*a[0] and out[i+1] = p(a[i+1]) + q(a[i]), computed on the
+        integers and reduced once by `unflatten`. The head stays
         additive because the difference axioms pin index 0 down to additive
         behaviour: a subject whose head is nonadditive (pointwise square,
         say) violates the second-argument regularity law at index 0, since
@@ -256,7 +240,6 @@ class StreamModel(DifferenceModel):
         self.check_space(space)
         if not isinstance(space, StreamPrefix):
             raise ModelRestriction("stream subjects live on prefix spaces")
-        base = space.base
         out = []
         for i in range(count):
             rng = random.Random(derive_seed(seed, "stream-subject",
@@ -265,16 +248,15 @@ class StreamModel(DifferenceModel):
             p = [rng.randint(-2, 2) for _ in range(3)]
             q = [0, rng.randint(-2, 2), rng.randint(-2, 2)]
 
-            def fn(a, _b=base, _k=k, _p=p, _q=q):
-                res = [self._scalar(_b, lambda t: _k * t, a[0])]
+            def fn(a, _s=space, _k=k, _p=p, _q=q):
+                res = [_k * a[0]]
                 for prev, v in zip(a, a[1:]):
-                    cur = self._scalar(_b, lambda t: _p[0] + _p[1] * t + _p[2] * t * t, v)
-                    lag = self._scalar(_b, lambda t: _q[1] * t + _q[2] * t * t, prev)
-                    res.append(add_elem(_b, cur, lag))
-                return tuple(res)
+                    res.append(_p[0] + _p[1] * v + _p[2] * v * v
+                               + _q[1] * prev + _q[2] * prev * prev)
+                return unflatten(_s, res)
 
             build = None
-            if isinstance(base, CyclicGroup):
+            if isinstance(space.base, CyclicGroup):
                 build = _subject_builder(space, k, p, q)
             out.append(Morphism(space, space, fn, model=self.tag, name=f"caus{i}",
                                 table_builder=build))
@@ -285,9 +267,8 @@ class StreamModel(DifferenceModel):
     def head_insensitive(self, f: Morphism, strat: EqualityStrategy = DEFAULT_STRATEGY) -> bool:
         """Outputs above index 0 ignore input index 0."""
         count = getattr(strat.mode, "count", 64)
-        seed = getattr(strat.mode, "seed", 0)
-        xs = sample_space(f.dom, count, derive_seed(seed, "head-x"))
-        hs = sample_space(f.dom, count, derive_seed(seed, "head-h"))
+        xs = sample_space(f.dom, count, derive_seed(strat.seed, "head-x"))
+        hs = sample_space(f.dom, count, derive_seed(strat.seed, "head-h"))
         for x, h in zip(xs, hs):
             x2 = splice0_elem(f.dom, h, x)  # same tail, different head
             a, b = f(x), f(x2)
@@ -317,5 +298,5 @@ def stream_linear_check(
         counterexample=None if agree else {
             "clause": f"is_linear={linear} but (hom and head-insensitive)={characterized}"
         },
-        seed=getattr(strat.mode, "seed", 0),
+        seed=strat.seed,
     )

@@ -114,10 +114,7 @@ def check_monad_laws(
             compose(mu(model, a), T_map(model, mu(model, a))),
         ),
     ]
-    return report_from_equalities(
-        "MonadLaws", model.tag, format_space(a), pairs, strat,
-        seed=getattr(strat.mode, "seed", 0),
-    )
+    return report_from_equalities("MonadLaws", model.tag, format_space(a), pairs, strat)
 
 
 def check_tangent_identities(
@@ -160,10 +157,7 @@ def check_tangent_identities(
     ph = phi(a, a)
     pairs.append(("eps(phi) = phi . eps(1)",
                   model.epsilon(ph), compose(ph, model.epsilon(identity(ph.dom)))))
-    return report_from_equalities(
-        "TangentIdentities", model.tag, format_space(a), pairs, strat,
-        seed=getattr(strat.mode, "seed", 0),
-    )
+    return report_from_equalities("TangentIdentities", model.tag, format_space(a), pairs, strat)
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +414,7 @@ def check_linear_algebra(
          compose(nu, T_map(model, nu)), compose(nu, mu(model, a))),
     ]
     linear, lin_rep = is_linear(model, nu, strat)
-    rep = report_from_equalities(
-        "LinearAlgebra", model.tag, format_space(a), pairs, strat,
-        seed=getattr(strat.mode, "seed", 0),
-    )
+    rep = report_from_equalities("LinearAlgebra", model.tag, format_space(a), pairs, strat)
     rep.checked += lin_rep.checked
     rep.violations += lin_rep.violations
     if rep.counterexample is None and lin_rep.counterexample is not None:

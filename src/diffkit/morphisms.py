@@ -194,6 +194,11 @@ class EqualityStrategy:
     def describe(self) -> str:
         return self.mode.describe()
 
+    @property
+    def seed(self) -> int:
+        """The mode's seed; 0 for modes without one (exhaustive)."""
+        return getattr(self.mode, "seed", 0)
+
     def with_seed(self, seed: int) -> "EqualityStrategy":
         if isinstance(self.mode, (Sampled, Auto)):
             mode = type(self.mode)(self.mode.count, seed)
@@ -340,10 +345,10 @@ def report_from_equalities(
     subject: str,
     pairs,
     strat: EqualityStrategy,
-    seed: int = 0,
     equal_fn=None,
 ) -> LawReport:
-    """Fold (label, lhs, rhs) morphism pairs into one LawReport."""
+    """Fold (label, lhs, rhs) morphism pairs into one LawReport, recording
+    the strategy's seed."""
     if equal_fn is None:
         equal_fn = morphisms_equal
     checked = 0
@@ -367,5 +372,5 @@ def report_from_equalities(
         checked=checked,
         violations=violations,
         counterexample=counterexample,
-        seed=seed,
+        seed=strat.seed,
     )

@@ -20,10 +20,17 @@ Element representation is plain Python data keyed by the space shape:
 
 This module is the only one that knows that layout. Each space builds
 its element operations once, on first use (`Space.ops`: zero, add, neg,
-sub, scale, equal, draw, the codec, enumeration): closures over the
-children's operations, so a call walks the element, never the space.
-Models reach scalar leaves through `leaves`, `flatten`/`unflatten` and
-`leafwise` only.
+sub, scale, equal, draw, coordinates, the codec, enumeration): closures
+over the children's operations, so a call walks the element, never the
+space. Models reach scalar leaves through `leaves`, `flatten`/`unflatten`
+and `leafwise` only. The coordinates of an element are its scalars in
+leaf order: one per Z<n> or Int leaf, d per R^d, and for a stream or
+function leaf the coordinates of its k positions, position 0 first.
+
+Stream truncation and the difference combinator's splice are prefix
+surgery, written once: `splice_at(space, p, a, b)` takes indices < p of
+every stream leaf from `a` and the rest from `b`, and on codes `v_trunc`
+and `v_splice0` move the index-0 digit block of each stream leaf.
 
 Spaces whose carrier is finite and closed under the group operations
 (everything except BoundedInt and Real) additionally get an integer
@@ -43,6 +50,7 @@ import itertools
 import math
 import operator
 import random
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -163,16 +171,19 @@ class ElementOps(NamedTuple):
     size: Optional[int]
 
 
-def _fails(exc, message):
+def _fails(exc, space: Space, message):
+    """An operation `space` lacks, raising `exc(message(space))`; it holds the
+    space weakly, so the space's `_ops` make no reference cycle."""
+    ref = weakref.ref(space)
+
     def fail(*_):
-        raise exc(message())
+        raise exc(message(ref()))
 
     return fail
 
 
 def _build_ops(space: Space) -> ElementOps:
-    no_coords = _fails(TypeMismatch, lambda: f"cannot build values in {space!r}")
-    no_codec = _fails(NotEnumerable, lambda: f"no integer codec for {space!r}")
+    no_codec = _fails(NotEnumerable, space, lambda s: f"no integer codec for {s!r}")
     if isinstance(space, CyclicGroup):
         n = space.n
         return ElementOps(
@@ -222,7 +233,7 @@ def _build_ops(space: Space) -> ElementOps:
             lambda v, pos: (tuple(v[pos : pos + d]), pos + d),
             no_codec,
             no_codec,
-            _fails(NotEnumerable, lambda: f"{format_space(space)} is not enumerable"),
+            _fails(NotEnumerable, space, lambda s: f"{format_space(s)} is not enumerable"),
             None,
         )
     if isinstance(space, (StreamPrefix, FunctionSpace)):
@@ -234,8 +245,15 @@ def _build_ops(space: Space) -> ElementOps:
             base, k = space.res, space_size(space.arg)
             if k is None:
                 raise NotEnumerable(f"{format_space(space)} has a non-enumerable argument")
-        z, add, neg, sub, scale, equal, draw, _, _, enc, dec, elems, bs = base.ops
+        z, add, neg, sub, scale, equal, draw, flat, unflat, enc, dec, elems, bs = base.ops
         b = codec_size(base)
+
+        def unflatten(v, pos):
+            out = []
+            for _ in range(k):
+                x, pos = unflat(v, pos)
+                out.append(x)
+            return tuple(out), pos
 
         def encode(a):
             i = 0
@@ -258,8 +276,8 @@ def _build_ops(space: Space) -> ElementOps:
             lambda r, a: tuple([scale(r, x) for x in a]),
             lambda a, c, at, rt: all(equal(x, y, at, rt) for x, y in zip(a, c)),
             lambda rng: tuple([draw(rng) for _ in range(k)]),
-            no_coords,
-            no_coords,
+            lambda a: [c for x in a for c in flat(x)],
+            unflatten,
             no_codec if b is None else encode,
             no_codec if b is None else decode,
             lambda: itertools.product(elems(), repeat=k),
@@ -335,29 +353,26 @@ def scale_elem(space: Space, r, a):
     return (space._ops or space.ops).scale(r, a)
 
 
+def splice_at(space: Space, p: int, a, b, what: str = "splice"):
+    """Indices < p of every stream leaf from `a`, indices >= p from `b`; any
+    other leaf raises TypeMismatch ("<what> needs a stream-shaped space")."""
+
+    def leaf(s, x, y):
+        if not isinstance(s, StreamPrefix):
+            raise TypeMismatch(f"{what} needs a stream-shaped space, got {s!r}")
+        return tuple(x[:p]) + tuple(y[p:])
+
+    return leafwise(space, leaf, a, b)
+
+
 def truncate_elem(space: Space, a):
     """Stream truncation z: zero index 0 of every stream leaf, keep the rest."""
-    if isinstance(space, StreamPrefix):
-        return (zero_elem(space.base),) + tuple(a[1:])
-    if isinstance(space, Product):
-        return (truncate_elem(space.left, a[0]), truncate_elem(space.right, a[1]))
-    if isinstance(space, Terminal):
-        return ()
-    raise TypeMismatch(f"truncation needs a stream-shaped space, got {space!r}")
+    return splice_at(space, 1, zero_elem(space), a, "truncation")
 
 
 def splice0_elem(space: Space, a, b):
     """Index 0 of every stream leaf from `a`, indices >= 1 from `b`."""
-    if isinstance(space, StreamPrefix):
-        return (a[0],) + tuple(b[1:])
-    if isinstance(space, Product):
-        return (
-            splice0_elem(space.left, a[0], b[0]),
-            splice0_elem(space.right, a[1], b[1]),
-        )
-    if isinstance(space, Terminal):
-        return ()
-    raise TypeMismatch(f"splice needs a stream-shaped space, got {space!r}")
+    return splice_at(space, 1, a, b)
 
 
 def _real_close(x, y, abs_tol: float, rel_tol: float) -> bool:
@@ -392,7 +407,8 @@ def leafwise(space: Space, fn, *xs):
 
 def flatten(space: Space, x) -> list:
     """Scalar coordinates of `x` in leaf order: one per Z<n> or Int leaf, d
-    per R^d. Stream and function leaves have none (TypeMismatch)."""
+    per R^d, and for a stream or function leaf the coordinates of each of
+    its positions in turn, position 0 first."""
     return (space._ops or space.ops).flatten(x)
 
 
@@ -553,32 +569,33 @@ def v_neg(space: Space, i: np.ndarray) -> np.ndarray:
     return v_scale(space, -1, i)
 
 
+def _first_digits(space: Space, i: np.ndarray, what: str) -> np.ndarray:
+    """The codes `i` with every digit zeroed except the index-0 digit block
+    of each stream leaf; any other leaf but Terminal raises TypeMismatch."""
+    for s in leaves(space):
+        if not isinstance(s, StreamPrefix):
+            raise TypeMismatch(f"{what} needs a stream-shaped space, got {s!r}")
+    out = np.zeros_like(i)
+    stride = 1
+    for s in reversed(leaves(space)):
+        radix = codec_size(s.base)
+        lead = stride * radix ** (s.length - 1)  # the index-0 digit's stride
+        d = i // lead
+        d %= radix
+        d *= lead
+        out += d
+        stride = lead * radix
+    return out
+
+
 def v_trunc(space: Space, i: np.ndarray) -> np.ndarray:
     """Index transform of stream truncation (zero the index-0 digit)."""
-    if isinstance(space, StreamPrefix):
-        s = codec_size(space.base) ** (space.length - 1)
-        return i % s
-    if isinstance(space, Product):
-        r = codec_size(space.right)
-        return v_trunc(space.left, i // r) * r + v_trunc(space.right, i % r)
-    if isinstance(space, Terminal):
-        return np.zeros_like(i)
-    raise TypeMismatch(f"truncation needs a stream-shaped space, got {space!r}")
+    return i - _first_digits(space, i, "truncation")
 
 
 def v_splice0(space: Space, i0: np.ndarray, i1: np.ndarray) -> np.ndarray:
     """Index transform of splice: index-0 digit from i0, the rest from i1."""
-    if isinstance(space, StreamPrefix):
-        s = codec_size(space.base) ** (space.length - 1)
-        return (i0 // s) * s + i1 % s
-    if isinstance(space, Product):
-        r = codec_size(space.right)
-        return v_splice0(space.left, i0 // r, i1 // r) * r + v_splice0(
-            space.right, i0 % r, i1 % r
-        )
-    if isinstance(space, Terminal):
-        return np.zeros_like(i0)
-    raise TypeMismatch(f"splice needs a stream-shaped space, got {space!r}")
+    return i1 - _first_digits(space, i1, "splice") + _first_digits(space, i0, "splice")
 
 
 # ---------------------------------------------------------------------------

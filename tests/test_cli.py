@@ -79,6 +79,9 @@ def test_usage_error_exits_two(capsys):
     ["check", "--subjects", "0"],
     ["check", "--axioms", ","],
     ["check", "--axioms", ""],
+    # a stream leaf over a product base is not a streams space
+    ["check", "--model", "streams:k=4", "--space", "Stream((Z3 x Z3),3)", "--subjects", "1",
+     "--axioms", "CdC0", "--seed", "1"],
 ])
 def test_bad_input_exits_two(capsys, argv):
     # exit 1 means "law violated": a crash or an empty run must not say so

@@ -8,10 +8,12 @@ compared by `repr`, so float signs, NaN and the Python type of every
 component must match too.
 """
 
+import functools
 import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,14 +38,20 @@ from diffkit.spaces import (
     flatten,
     format_space,
     iter_space,
+    leafwise,
     leaves,
     neg_elem,
     parse_space,
     sample_space,
     scale_elem,
     space_size,
+    splice0_elem,
+    splice_at,
     sub_elem,
+    truncate_elem,
     unflatten,
+    v_splice0,
+    v_trunc,
     zero_elem,
 )
 
@@ -298,6 +306,69 @@ def ref_sample_space(space, count, seed):
     return [ref_draw(space, rng) for _ in range(count)]
 
 
+def ref_truncate_elem(space, a):
+    """Stream truncation z: zero index 0 of every stream leaf, keep the rest."""
+    if isinstance(space, StreamPrefix):
+        return (zero_elem(space.base),) + tuple(a[1:])
+    if isinstance(space, Product):
+        return (ref_truncate_elem(space.left, a[0]), ref_truncate_elem(space.right, a[1]))
+    if isinstance(space, Terminal):
+        return ()
+    raise TypeMismatch(f"truncation needs a stream-shaped space, got {space!r}")
+
+
+def ref_splice0_elem(space, a, b):
+    """Index 0 of every stream leaf from `a`, indices >= 1 from `b`."""
+    if isinstance(space, StreamPrefix):
+        return (a[0],) + tuple(b[1:])
+    if isinstance(space, Product):
+        return (
+            ref_splice0_elem(space.left, a[0], b[0]),
+            ref_splice0_elem(space.right, a[1], b[1]),
+        )
+    if isinstance(space, Terminal):
+        return ()
+    raise TypeMismatch(f"splice needs a stream-shaped space, got {space!r}")
+
+
+def ref_v_trunc(space, i):
+    """Index transform of stream truncation (zero the index-0 digit)."""
+    if isinstance(space, StreamPrefix):
+        s = codec_size(space.base) ** (space.length - 1)
+        return i % s
+    if isinstance(space, Product):
+        r = codec_size(space.right)
+        return ref_v_trunc(space.left, i // r) * r + ref_v_trunc(space.right, i % r)
+    if isinstance(space, Terminal):
+        return np.zeros_like(i)
+    raise TypeMismatch(f"truncation needs a stream-shaped space, got {space!r}")
+
+
+def ref_v_splice0(space, i0, i1):
+    """Index transform of splice: index-0 digit from i0, the rest from i1."""
+    if isinstance(space, StreamPrefix):
+        s = codec_size(space.base) ** (space.length - 1)
+        return (i0 // s) * s + i1 % s
+    if isinstance(space, Product):
+        r = codec_size(space.right)
+        return ref_v_splice0(space.left, i0 // r, i1 // r) * r + ref_v_splice0(
+            space.right, i0 % r, i1 % r
+        )
+    if isinstance(space, Terminal):
+        return np.zeros_like(i0)
+    raise TypeMismatch(f"splice needs a stream-shaped space, got {space!r}")
+
+
+def ref_head(p, space, x):
+    """Indices < p of a stream leaf."""
+    return tuple(x[:p]) if isinstance(space, StreamPrefix) else ()
+
+
+def ref_overwrite_tail(p, space, x, y):
+    """Keep x on indices < p, take y from index p on."""
+    return tuple(x[:p]) + tuple(y[p:]) if isinstance(space, StreamPrefix) else ()
+
+
 # ---------------------------------------------------------------------------
 # elements: any member of the carrier, not only the sampling window
 
@@ -370,16 +441,89 @@ def test_enumeration_order_is_unchanged(text):
         assert list(iter_space(space)) == list(ref_iter_space(space))
 
 
+def _width(space):
+    """Coordinates of one element: a stream or function leaf has those of
+    each of its positions."""
+    total = 0
+    for s in leaves(space):
+        if isinstance(s, StreamPrefix):
+            total += s.length * _width(s.base)
+        elif isinstance(s, FunctionSpace):
+            total += space_size(s.arg) * _width(s.res)
+        else:
+            total += getattr(s, "dim", 1)
+    return total
+
+
 @pytest.mark.parametrize("text", SPACES)
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_flatten_walks_the_scalar_leaves_in_order(text, data):
     space = _function_space(text)
     a = data.draw(elements(space))
-    if any(isinstance(s, (StreamPrefix, FunctionSpace)) for s in leaves(space)):
-        with pytest.raises(TypeMismatch):
-            flatten(space, a)
-        return
     coords = flatten(space, a)
-    assert len(coords) == sum(getattr(s, "dim", 1) for s in leaves(space))
+    assert len(coords) == _width(space)
     assert repr(unflatten(space, coords)) == repr(a)
+
+
+# ---------------------------------------------------------------------------
+# prefix surgery: the splice and the head-digit walk against the ladders
+
+PREFIX_SPACES = [t for t in SPACES if all(isinstance(s, StreamPrefix)
+                                          for s in leaves(_function_space(t)))] + [
+    "(Stream(Z3,2) x Stream(Int[-3,3],3))", "Stream((Z2 x Z3),3)",
+    "(Stream(Z5,2) x (1 x Stream(Z3,3)))", "Stream(Stream(Z2,2),3)",
+    "(Stream(Z3,4) x Stream(Z3,4))", "(Stream(Z2,3) x Stream(Z5,2))",
+]
+# spaces with a leaf that is not a stream: every prefix operation refuses them
+NON_PREFIX_SPACES = ["Z7", "[Z2=>Z3]", "((R^1 x Z4) x Stream(Z3,2))", "(Stream(Z3,2) x Int[-3,3])"]
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except TypeMismatch as exc:
+        return f"TypeMismatch: {exc}"
+
+
+@pytest.mark.parametrize("text", PREFIX_SPACES + NON_PREFIX_SPACES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_splice_matches_the_ladders(text, data):
+    space = _function_space(text)
+    a = data.draw(elements(space), label="a")
+    b = data.draw(elements(space), label="b")
+    assert _outcome(truncate_elem, space, a) == _outcome(ref_truncate_elem, space, a)
+    assert _outcome(splice0_elem, space, a, b) == _outcome(ref_splice0_elem, space, a, b)
+    if text in NON_PREFIX_SPACES:
+        return
+    k = max((s.length for s in leaves(space)), default=0)
+    p = data.draw(st.integers(0, k + 1), label="p")
+    overwrite = functools.partial(ref_overwrite_tail, p)
+    assert repr(splice_at(space, p, a, b)) == repr(leafwise(space, overwrite, a, b))
+    # the causality check's prefix comparison: b shares a prefix with a
+    q = data.draw(st.integers(0, k + 1), label="q")
+    b = leafwise(space, functools.partial(ref_overwrite_tail, q), a, b)
+    zero = zero_elem(space)
+    head = functools.partial(ref_head, p)
+    assert ((splice_at(space, p, a, zero) == splice_at(space, p, b, zero))
+            == (leafwise(space, head, a) == leafwise(space, head, b)))
+
+
+def _code_pairs(space):
+    code = st.integers(0, codec_size(space) - 1)
+    return st.lists(st.tuples(code, code), min_size=1, max_size=40).map(
+        lambda xs: np.array(xs, dtype=np.int64).T)
+
+
+@pytest.mark.parametrize("text", [t for t in PREFIX_SPACES + NON_PREFIX_SPACES
+                                  if codec_size(_function_space(t)) is not None])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_head_digit_walk_matches_the_ladders(text, data):
+    space = _function_space(text)
+    i0, i1 = data.draw(_code_pairs(space), label="codes")
+    assert _outcome(lambda i: v_trunc(space, i).tolist(), i0) == _outcome(
+        lambda i: ref_v_trunc(space, i).tolist(), i0)
+    assert _outcome(lambda i, j: v_splice0(space, i, j).tolist(), i0, i1) == _outcome(
+        lambda i, j: ref_v_splice0(space, i, j).tolist(), i0, i1)

@@ -3,8 +3,11 @@ import weakref
 
 import pytest
 
+from diffkit.errors import ShapeMismatch
 from diffkit.kernel import (
+    BaseCat,
     add,
+    axiom_sides,
     check_axiom,
     check_flatness,
     compose,
@@ -202,6 +205,15 @@ def test_flatness_f4_unknown_stays_unknown_when_undecidable():
     rep = check_flatness(fd, Z, EqualityStrategy(Sampled(64, 3)), parts=("F4",))
     assert rep.passed
     assert rep.verdict == "unknown"
+
+
+@pytest.mark.parametrize("axiom", ["F1", "F2", "F3", "F4", "OplusEps"])
+def test_check_axiom_runs_flatness_ids_on_the_subjects_domain(axiom):
+    subjects = fd.random_subjects(Z5, 2, seed=3)
+    rep = check_axiom(fd, axiom, subjects, EX)
+    assert rep.to_dict() == check_flatness(fd, Z5, EX, parts=(axiom,)).to_dict()
+    with pytest.raises(ShapeMismatch):
+        axiom_sides(BaseCat(fd), fd, axiom, subjects)
 
 
 def test_cdc0_on_square_exhaustively():

@@ -3,8 +3,16 @@ import pytest
 from diffkit.errors import ModelRestriction
 from diffkit.kernel import check_axiom, zero_map
 from diffkit.models import get_model
-from diffkit.morphisms import EqualityStrategy, Exhaustive, morphisms_equal
-from diffkit.spaces import BoundedInt, CyclicGroup, Product, Real, enumerate_space
+from diffkit.morphisms import EqualityStrategy, Exhaustive, Sampled, morphisms_equal
+from diffkit.spaces import (
+    BoundedInt,
+    CyclicGroup,
+    FunctionSpace,
+    Product,
+    Real,
+    enumerate_space,
+    sample_space,
+)
 
 fd = get_model("findiff")
 Z = BoundedInt(-100, 100)
@@ -68,3 +76,17 @@ def test_full_suite_on_product_space():
     for ax in ["CdC0", "CdC5", "CdC6a", "E3"]:
         rep = check_axiom(fd, ax, subs, EqualityStrategy())
         assert rep.passed, (ax, rep.counterexample)
+
+
+def test_poly_subjects_on_a_function_space_without_codec():
+    # Int results have no codec, so the subjects are polynomials in the
+    # coordinates of the function table
+    space = FunctionSpace(CyclicGroup(2), BoundedInt(-1, 1))
+    subjects = fd.random_subjects(space, 2, seed=5)
+    for f in subjects:
+        for x in sample_space(space, 8, 1):
+            y = f(x)
+            assert len(y) == 2 and all(isinstance(v, int) for v in y)
+    strat = EqualityStrategy(Sampled(64, 3))
+    for ax in ["CdC0", "CdC2", "CdC5"]:
+        assert check_axiom(fd, ax, subjects, strat).passed, ax

@@ -10,7 +10,7 @@ from diffkit.models import (
     truncation,
 )
 from diffkit.morphisms import EqualityStrategy, Morphism, Sampled, morphisms_equal
-from diffkit.spaces import BoundedInt, CyclicGroup, StreamPrefix, zero_elem
+from diffkit.spaces import BoundedInt, CyclicGroup, StreamPrefix, parse_space, zero_elem
 
 ZB = BoundedInt(-100, 100)
 S3 = StreamPrefix(ZB, 3)
@@ -18,6 +18,18 @@ ST = EqualityStrategy(Sampled(64, 3))
 st4 = get_model("streams:k=4")
 st8 = get_model("streams:k=8")
 SZ8 = StreamPrefix(CyclicGroup(3), 8)
+
+
+@pytest.mark.parametrize("text, legal", [
+    ("Stream(Z3,4)", True),
+    ("Stream(Int[-3,3],4)", True),
+    ("(Stream(Z3,2) x Stream(Z3,2))", True),
+    ("Stream((Z3 x Z3),3)", False),
+    ("Stream(Stream(Z3,2),2)", False),
+    ("(Stream(Z3,2) x Z3)", False),
+])
+def test_legal_spaces_have_scalar_stream_bases(text, legal):
+    assert st4.legal_space(parse_space(text)) == legal
 
 
 def test_truncation_values():

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from diffkit.spaces import (
     encode,
     enumerate_space,
     format_space,
+    iter_space,
     neg_elem,
     parse_space,
     sample_space,
@@ -180,3 +184,27 @@ def test_code_arithmetic_matches_element_algebra(space, data):
     assert v_neg(space, ci).tolist() == codes(neg_elem, xs)
     for r in (-2, 0, 1, 3):
         assert v_scale(space, r, ci).tolist() == codes(scale_elem, [r] * len(xs), xs)
+
+
+def test_built_ops_make_no_reference_cycle():
+    # the operations a space lacks must not hold the space, or it is freed
+    # by the cycle collector only; their error texts still name it
+    with pytest.raises(NotEnumerable, match=r"no integer codec for BoundedInt\(lo=-5, hi=5\)"):
+        encode(parse_space("Int[-5,5]"), 0)
+    with pytest.raises(NotEnumerable, match=r"R\^2 is not enumerable"):
+        iter_space(Real(2))
+    gc.disable()
+    try:
+        for text in ["Int[-5,5]", "R^2", "Stream(Z3,4)"]:
+            space = parse_space(text)
+            assert space.ops
+            ref = weakref.ref(space)
+            del space
+            assert ref() is None, text
+        space = parse_space("(Int[-5,5] x Z7)")
+        assert space.ops
+        ref = weakref.ref(space.left)
+        del space
+        assert ref() is None
+    finally:
+        gc.enable()
