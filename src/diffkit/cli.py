@@ -224,7 +224,7 @@ def _emit(args, command: str, model_tag: str, seed: int,
             "seed": seed,
             "results": [r.to_dict() for r in results],
             "violations_total": violations,
-            "elapsed_ms": int((time.time() - started) * 1000),
+            "elapsed_ms": int((time.perf_counter() - started) * 1000),
         }
         print(json.dumps(doc, indent=2))
     else:
@@ -332,7 +332,7 @@ def run_check(
 
 
 def _cmd_check(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     model, space, seed, strat = _setup(args)
     if args.axioms == "all":
         axioms = list(SUITE_AXIOMS) + ["CA", "CAD"]
@@ -349,7 +349,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_monad_laws(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     model, space, seed, strat = _setup(args)
     subjects = model.random_subjects(space, max(2, min(args.subjects, 8)), seed)
     results = [
@@ -360,7 +360,7 @@ def _cmd_monad_laws(args) -> int:
 
 
 def _cmd_kleisli_check(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     model, space, seed, strat = _setup(args)
     results = check_kleisli_cdc(model, space, strat,
                                 subjects=max(2, args.subjects), seed=seed)
@@ -368,7 +368,7 @@ def _cmd_kleisli_check(args) -> int:
 
 
 def _cmd_algebra_check(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     model, space, seed, strat = _setup(args)
     results = [check_linear_algebra(model, free_algebra(model, space), strat)]
     results[-1].subject = f"free algebra over {format_space(space)}"
@@ -391,7 +391,7 @@ def _cmd_algebra_check(args) -> int:
 
 
 def _cmd_lambda_check(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     model = get_model("findiff")
     seed = _resolve_seed(args)
     strat = _strategy(args, seed)
@@ -401,7 +401,7 @@ def _cmd_lambda_check(args) -> int:
 
 
 def _cmd_flatness(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     model, space, seed, strat = _setup(args)
     results = [check_flatness(model, space, strat)]
     return _emit(args, "flatness", model.tag, seed, results, started)

@@ -39,23 +39,25 @@ from .spaces import (
     TERMINAL,
     add_elem,
     codec_size,
+    const_batch,
     derive_seed,
     elements_equal,
-    encode,
     format_space,
     iter_space,
     neg_elem,
+    pair_batch,
     sample_space,
     space_size,
+    split_batch,
     v_add,
     v_neg,
     zero_elem,
 )
 
 
-def _filled(dom: Space, idx, code: int = 0) -> np.ndarray:
-    """One code at every requested point of `dom`."""
-    return np.full(codec_size(dom) if idx is None else len(idx), code, dtype=np.int64)
+def _filled(dom: Space, cod: Space, idx, value) -> np.ndarray:
+    """The element `value` of `cod` at every requested point of `dom`."""
+    return const_batch(cod, value, codec_size(dom) if idx is None else len(idx))
 
 
 def _merge_model(*ms: Morphism) -> Optional[str]:
@@ -81,9 +83,7 @@ def projection(i: int, left: Space, right: Space) -> Morphism:
     cod = left if i == 0 else right
 
     def build(idx=None):
-        r = codec_size(right)
-        idx = domain_codes(dom, idx)
-        return idx // r if i == 0 else idx % r
+        return split_batch(dom, domain_codes(dom, idx), i)
 
     return Morphism(dom, cod, (lambda x: x[0]) if i == 0 else (lambda x: x[1]),
                     name=f"pi{i}", table_builder=build)
@@ -91,19 +91,18 @@ def projection(i: int, left: Space, right: Space) -> Morphism:
 
 def terminal_map(space: Space) -> Morphism:
     return Morphism(space, TERMINAL, lambda x: (), name="!",
-                    table_builder=lambda idx=None: _filled(space, idx))
+                    table_builder=lambda idx=None: _filled(space, TERMINAL, idx, ()))
 
 
 def zero_map(dom: Space, cod: Space) -> Morphism:
     z = zero_elem(cod)
-    # the zero element always encodes to index 0
     return Morphism(dom, cod, lambda x, _z=z: _z, name="0",
-                    table_builder=lambda idx=None: _filled(dom, idx))
+                    table_builder=lambda idx=None: _filled(dom, cod, idx, z))
 
 
 def const_map(dom: Space, cod: Space, value) -> Morphism:
     return Morphism(dom, cod, lambda x, _v=value: _v, name="const",
-                    table_builder=lambda idx=None: _filled(dom, idx, encode(cod, value)))
+                    table_builder=lambda idx=None: _filled(dom, cod, idx, value))
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:
@@ -126,13 +125,14 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
 def pair(f: Morphism, g: Morphism) -> Morphism:
     if f.dom != g.dom:
         raise DomainMismatch(f"pairing needs a shared domain: {f!r}, {g!r}")
+    cod = Product(f.cod, g.cod)
 
     def build(idx=None):
         tf, tg = codes_at(f, idx), codes_at(g, idx)
-        return None if tf is None or tg is None else tf * codec_size(g.cod) + tg
+        return None if tf is None or tg is None else pair_batch(cod, tf, tg)
 
     return Morphism(
-        f.dom, Product(f.cod, g.cod),
+        f.dom, cod,
         lambda x, _f=f.fn, _g=g.fn: (_f(x), _g(x)),
         model=_merge_model(f, g),
         name=f"<{f.name},{g.name}>",
@@ -258,6 +258,7 @@ class DifferenceModel:
         cached = self._primitive_cache.get(key)
         if cached is not None:
             return cached
+        self.check_space(sp)
         m = self._primitives[name](sp)
         m.model = self.tag
         m.name = name

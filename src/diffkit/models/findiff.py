@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import ModelRestriction
 from ..kernel import DifferenceModel
-from ..morphisms import TABLE_LIMIT, Morphism, codes_at, domain_codes, from_table
+from ..morphisms import TABLE_LIMIT, Morphism, codes_at, coord_builder, domain_codes, from_table
 from ..spaces import (
     BoundedInt,
     CyclicGroup,
@@ -26,6 +26,7 @@ from ..spaces import (
     flatten,
     format_space,
     leaves,
+    split_batch,
     sub_elem,
     unflatten,
     v_add,
@@ -43,7 +44,8 @@ def difference_derivative(f: Morphism, model_tag: str) -> Morphism:
         return sub_elem(_b, _f(add_elem(_a, x, y)), _f(x))
 
     def build(idx=None):
-        x, y = np.divmod(domain_codes(dom, idx), codec_size(a))
+        p = domain_codes(dom, idx)
+        x, y = split_batch(dom, p, 0), split_batch(dom, p, 1)
         fs, fx = codes_at(f, v_add(a, x, y)), codes_at(f, x)
         return None if fs is None or fx is None else v_sub(b, fs, fx)
 
@@ -52,17 +54,19 @@ def difference_derivative(f: Morphism, model_tag: str) -> Morphism:
 
 
 def _scalar_primitive(name: str, scalar_fn):
-    """Endomap of a single integer carrier; products must project first."""
+    """Endomap of a single integer carrier; products must project first.
+    `scalar_fn` acts on arrays as on ints, and its magnitude on [-m, m]
+    peaks at -m or m."""
 
     def factory(space: Space) -> Morphism:
-        if isinstance(space, CyclicGroup):
-            return Morphism(space, space,
-                            lambda x, _n=space.n: scalar_fn(x) % _n, name=name)
-        if isinstance(space, BoundedInt):
-            return Morphism(space, space, scalar_fn, name=name)
-        raise ModelRestriction(
-            f"{name} is a scalar primitive; {format_space(space)} is not a scalar space"
-        )
+        if not isinstance(space, (CyclicGroup, BoundedInt)):
+            raise ModelRestriction(
+                f"{name} is a scalar primitive; {format_space(space)} is not a scalar space"
+            )
+        fn = scalar_fn if isinstance(space, BoundedInt) else \
+            lambda x, _n=space.n: scalar_fn(x) % _n
+        return Morphism(space, space, fn, name=name, table_builder=coord_builder(
+            space, scalar_fn, lambda m: max(abs(scalar_fn(m)), abs(scalar_fn(-m)))))
 
     return factory
 
@@ -86,7 +90,21 @@ def _poly_subject(space: Space, rng: random.Random, name: str) -> Morphism:
             outs.append(coeffs[0] + coeffs[1] * t + coeffs[2] * t * t)
         return unflatten(_space, outs)
 
-    return Morphism(space, space, fn, name=name)
+    weights = np.array([w for w, _ in specs], dtype=np.int64).reshape(width, width).T
+    c0, c1, c2 = np.array([c for _, c in specs], dtype=np.int64).reshape(width, 3).T
+
+    def poly(x):
+        t = x @ weights
+        return c0 + t * (c1 + c2 * t)
+
+    def bound(m):  # of every value poly computes: |t| <= sum |w| * m
+        out = 0
+        for w, (k0, k1, k2) in specs:
+            t = sum(map(abs, w)) * m
+            out = max(out, t, abs(k0) + abs(k1) * t + abs(k2) * t * t)
+        return out
+
+    return Morphism(space, space, fn, name=name, table_builder=coord_builder(space, poly, bound))
 
 
 class FinDiffModel(DifferenceModel):

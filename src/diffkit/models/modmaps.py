@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
+
 from ..errors import NotAdditive
 from ..kernel import (
     DifferenceModel,
@@ -19,7 +21,7 @@ from ..kernel import (
     is_group_homomorphism,
     projection,
 )
-from ..morphisms import Auto, EqualityStrategy, Morphism, codes_at, domain_codes
+from ..morphisms import Auto, EqualityStrategy, Morphism, codes_at, coord_builder, domain_codes
 from ..spaces import (
     BoundedInt,
     CyclicGroup,
@@ -115,5 +117,10 @@ class ModuleModel(DifferenceModel):
                 outs = [sum(k * v for k, v in zip(row, flat)) for row in _mat]
                 return unflatten(_space, outs)
 
-            out.append(Morphism(space, space, fn, model=self.tag, name=f"lin{i}"))
+            rows = max((sum(map(abs, row)) for row in mat), default=0)
+            build = coord_builder(
+                space, lambda x, _mat=mat: x @ np.array(_mat, dtype=np.int64).reshape(
+                    len(_mat), len(_mat)).T, lambda m, _rows=rows: _rows * m)
+            out.append(Morphism(space, space, fn, model=self.tag, name=f"lin{i}",
+                                table_builder=build))
         return out

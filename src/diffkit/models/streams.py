@@ -27,6 +27,7 @@ from ..morphisms import (
     Morphism,
     Sampled,
     codes_at,
+    coord_builder,
     domain_codes,
 )
 from ..spaces import (
@@ -36,7 +37,6 @@ from ..spaces import (
     Space,
     StreamPrefix,
     add_elem,
-    codec_size,
     derive_seed,
     elements_equal,
     format_space,
@@ -44,6 +44,7 @@ from ..spaces import (
     sample_space,
     splice0_elem,
     splice_at,
+    split_batch,
     sub_elem,
     truncate_elem,
     unflatten,
@@ -75,7 +76,8 @@ def stream_derivative(f: Morphism, model_tag: str) -> Morphism:
         return splice0_elem(_b, full, tail)
 
     def build(idx=None):
-        x, y = np.divmod(domain_codes(dom, idx), codec_size(a))
+        p = domain_codes(dom, idx)
+        x, y = split_batch(dom, p, 0), split_batch(dom, p, 1)
         fx = codes_at(f, x)
         fs = codes_at(f, v_add(a, x, y))
         ft = codes_at(f, v_add(a, x, v_trunc(a, y)))
@@ -88,21 +90,17 @@ def stream_derivative(f: Morphism, model_tag: str) -> Morphism:
 
 
 def _subject_builder(space: StreamPrefix, k: int, p, q):
-    """Codes of a random subject on Stream(Z_n, K): the digits of a code are
-    a[0] (most significant) .. a[K-1], each output digit taken mod n."""
-    n, width = space.base.n, space.length
+    """Table builder of a random subject (see `random_subjects`)."""
 
-    def build(idx=None):
-        codes = domain_codes(space, idx)
-        a = [(codes // n ** (width - 1 - j)) % n for j in range(width)]
-        out = (k * a[0]) % n
-        for prev, v in zip(a, a[1:]):
-            cur = p[0] + p[1] * v + p[2] * v * v
-            lag = q[1] * prev + q[2] * prev * prev
-            out = out * n + (cur + lag) % n
+    def fn(a):
+        out = np.empty_like(a)
+        out[:, 0] = k * a[:, 0]
+        v, prev = a[:, 1:], a[:, :-1]
+        out[:, 1:] = p[0] + v * (p[1] + p[2] * v) + prev * (q[1] + q[2] * prev)
         return out
 
-    return build
+    return coord_builder(space, fn, lambda m: max(abs(k) * m, abs(p[0]) + (
+        abs(p[1]) + abs(q[1])) * m + (abs(p[2]) + abs(q[2])) * m * m))
 
 
 def simple_stream_derivative(f: Morphism) -> Morphism:
@@ -255,11 +253,8 @@ class StreamModel(DifferenceModel):
                                + _q[1] * prev + _q[2] * prev * prev)
                 return unflatten(_s, res)
 
-            build = None
-            if isinstance(space.base, CyclicGroup):
-                build = _subject_builder(space, k, p, q)
             out.append(Morphism(space, space, fn, model=self.tag, name=f"caus{i}",
-                                table_builder=build))
+                                table_builder=_subject_builder(space, k, p, q)))
         return out
 
     # -- model-specific characterization

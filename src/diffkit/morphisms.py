@@ -5,20 +5,22 @@ bookkeeping (model tag, display name). Equality of morphisms is
 extensional over a finite test set: exhaustive when the domain
 enumerates under a configured bound, otherwise seeded sampling.
 
-Morphisms between spaces with an integer codec may also evaluate on
-codes: `codes_at(m, idx)` gives the codomain codes of `m` at the domain
-codes `idx` (`codes[k] == encode(cod, fn(decode(dom, idx[k])))`).
-Domains that fit TABLE_LIMIT are tabulated once and indexed; larger
-ones are evaluated at just the requested codes, so a composite whose
-own domain is small reads big inner maps such as second derivatives
-without filling their whole domains. Code evaluation lets exhaustive
-comparisons over large product stages run as vectorized array
-operations; closure evaluation stays the semantic ground truth and the
-two are checked against each other in the test suite.
+Morphisms between spaces with integer coordinates may also evaluate on
+batches (`spaces`: codes where a space has an int64 codec, coordinate
+arrays otherwise): `codes_at(m, idx)` gives the codomain batch of `m` at
+the domain batch `idx`. Codec domains that fit TABLE_LIMIT are tabulated
+once and indexed, unless a small request covers less than a sixteenth of
+them; larger ones are evaluated at just the requested codes, so a
+composite whose own domain is small reads big inner maps such as second
+derivatives without filling their whole domains. Batches let
+comparisons run as array operations, chunk by chunk; closure evaluation
+stays the semantic ground truth, the fallback for whatever has no
+batch form, and the test suite checks the two against each other.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -28,25 +30,37 @@ from .errors import DomainMismatch, InvalidArgument, SizeExceeded
 from .spaces import (
     DEFAULT_ENUM_BOUND,
     Space,
+    batch_coords,
+    batch_sampler,
     codec_size,
+    coords_batch,
     decode,
     derive_seed,
     elements_equal,
     encode,
+    enum_batch,
     format_space,
+    has_batches,
+    int64_guard,
     iter_space,
+    magnitude,
     sample_space,
     space_size,
+    table_codec_size,
+    unflatten,
 )
 
 TABLE_LIMIT = 2_000_000  # max entries a lookup table may hold
-_INT64_SAFE = 2**62  # codes above this cannot live in an int64 table
-
-
-def table_codec_size(space: Space) -> Optional[int]:
-    """Codec size when it is small enough for int64 table entries."""
-    n = codec_size(space)
-    return n if n is not None and n <= _INT64_SAFE else None
+# A batched comparison evaluates its first FIRST_CHUNK points alone, so that
+# a refutation stops early, then MAX_CHUNK points at a time, which bounds its
+# memory.
+FIRST_CHUNK = 16
+MAX_CHUNK = 4096
+# A request of at most MAX_CHUNK codes tabulates a codec domain of at most
+# TABULATE_RATIO times its own size: a small sample must not fill a large
+# table. A larger request, from the tabulation of a large stage, tabulates
+# any domain that fits TABLE_LIMIT.
+TABULATE_RATIO = 16
 
 
 @dataclass(eq=False)
@@ -55,10 +69,11 @@ class Morphism:
     extensional and goes through `morphisms_equal`.
 
     `table` caches the integer-coded lookup table. `table_builder(idx=None)`
-    returns the codomain codes at the domain codes `idx` (None: the whole
-    domain in order), or None when it cannot; read it through `codes_at`.
-    Builders run only when an exhaustive comparison actually needs codes,
-    because a sampled check never visits most of a mid-size domain.
+    returns the codomain batch at the domain batch `idx` (None: every code
+    of a codec domain in order), or None when it cannot; it raises
+    OverflowError rather than let a value wrap in int64. Read it through
+    `codes_at`. Builders run only when a comparison needs batches, and a
+    sampled one evaluates them at its drawn points only.
     `derivatives` memoizes `d[self]` per difference model, so repeated
     axiom instantiations share one derivative and its table, and the memo
     dies with the morphism.
@@ -95,6 +110,19 @@ def domain_codes(space: Space, idx: Optional[np.ndarray]) -> np.ndarray:
     return np.arange(codec_size(space), dtype=np.int64) if idx is None else idx
 
 
+def coord_builder(space: Space, fn: Callable, bound: Callable[[int], int]) -> Callable:
+    """Table builder of an endomap of `space` that is `fn` on coordinate
+    arrays; `bound(m)` bounds the magnitude of every value `fn` computes
+    from coordinates of magnitude at most m."""
+
+    def build(idx=None):
+        x = batch_coords(space, domain_codes(space, idx))
+        int64_guard(bound(magnitude(x)))
+        return coords_batch(space, fn(x))
+
+    return build
+
+
 def _closure_codes(m: Morphism, codes) -> np.ndarray:
     return np.fromiter((encode(m.cod, m.fn(decode(m.dom, int(i)))) for i in codes),
                        dtype=np.int64, count=len(codes))
@@ -109,12 +137,12 @@ def tabulate(m: Morphism, limit: int = TABLE_LIMIT) -> Optional[np.ndarray]:
     """
     if m.table is not None:
         return m.table
-    n = codec_size(m.dom)
+    n = table_codec_size(m.dom)
     if n is None or n > limit or table_codec_size(m.cod) is None:
         return None
     if m.table_builder is not None:
         builder, m.table_builder = m.table_builder, None
-        tbl = builder()
+        tbl = _built(builder)
         if tbl is not None:
             m.table = tbl
             return tbl
@@ -122,22 +150,33 @@ def tabulate(m: Morphism, limit: int = TABLE_LIMIT) -> Optional[np.ndarray]:
     return m.table
 
 
-def codes_at(m: Morphism, idx: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
-    """Codomain codes of `m` at the domain codes `idx` (None: the whole domain).
+def _built(builder: Callable, *idx) -> Optional[np.ndarray]:
+    try:
+        return builder(*idx)
+    except OverflowError:
+        return None
 
-    A domain that fits TABLE_LIMIT is tabulated once and indexed. A larger
-    one is evaluated at `idx` only: through the builder, or, for a leaf
-    without one, by the closure once per distinct code. None when either
-    side of `m` has no int64 codec.
+
+def codes_at(m: Morphism, idx: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
+    """Codomain batch of `m` at the domain batch `idx` (None: the whole
+    codec domain).
+
+    A codec domain that fits TABLE_LIMIT, and TABULATE_RATIO times a
+    request of at most MAX_CHUNK codes, is tabulated once and indexed. Anything else is evaluated at
+    `idx` only: through the builder, or, for a leaf between codec spaces
+    without one, by the closure once per distinct code. None when the
+    builder is missing or would overflow int64.
     """
-    tbl = m.table if m.table is not None else tabulate(m)
+    tbl = m.table
+    if tbl is None and (idx is None or len(idx) > MAX_CHUNK
+                        or (table_codec_size(m.dom) or 0) <= TABULATE_RATIO * len(idx)):
+        tbl = tabulate(m)
     if tbl is not None:
         return tbl if idx is None else tbl[idx]
+    if m.table_builder is not None:
+        return _built(m.table_builder, idx)
     if table_codec_size(m.dom) is None or table_codec_size(m.cod) is None:
         return None
-    # both sides have codecs, so the domain is over TABLE_LIMIT
-    if m.table_builder is not None:
-        return m.table_builder(idx)
     codes, inverse = np.unique(domain_codes(m.dom, idx), return_inverse=True)
     return _closure_codes(m, codes)[inverse]
 
@@ -241,27 +280,55 @@ def to_jsonable(x):
     return x
 
 
-def _test_points(dom: Space, strat: EqualityStrategy):
-    if isinstance(strat.mode, Exhaustive):
-        n = space_size(dom)
-        if n is None or n > strat.bound:
-            raise SizeExceeded(
-                f"exhaustive mode illegal on {format_space(dom)} "
-                f"(size {n} > bound {strat.bound})"
-            )
-        return iter_space(dom), None
-    return sample_space(dom, strat.mode.count, strat.mode.seed), strat.mode.seed
+def _refuted(checked: int, x, lhs, rhs, strat: EqualityStrategy, seed) -> EqualityReport:
+    cx = {"input": to_jsonable(x), "lhs": to_jsonable(lhs), "rhs": to_jsonable(rhs)}
+    return EqualityReport(False, checked, counterexample=cx, mode=strat.describe(), seed=seed)
+
+
+def _compare_batches(f: Morphism, g: Morphism, strat: EqualityStrategy, count: int, seed):
+    """Compare `f` and `g` on the test set (seed None: the enumeration) as
+    batches, chunk by chunk: (start, report), where a report of None leaves
+    the points from `start` on to the closures."""
+    start, size = 0, FIRST_CHUNK
+    draw = None if seed is None else batch_sampler(f.dom, seed)
+    while start < count:
+        stop = min(count, start + size)
+        try:  # a window past int64 has no batch
+            x = enum_batch(f.dom, start, stop) if draw is None else draw(stop - start)
+        except OverflowError:
+            return start, None
+        a = codes_at(f, x)
+        b = None if a is None else codes_at(g, x)
+        if b is None:
+            return start, None
+        ne = a != b
+        bad = np.flatnonzero(ne if ne.ndim == 1 else ne.any(axis=1))
+        if bad.size:
+            k = int(bad[0])
+            p = decode(f.dom, int(x[k])) if x.ndim == 1 else unflatten(f.dom, x[k].tolist())
+            lhs, rhs = f(p), g(p)
+            if elements_equal(f.cod, lhs, rhs, strat.abs_tol, strat.rel_tol):
+                raise RuntimeError(f"batches and closures of {f!r}, {g!r} disagree at {p!r}")
+            return start, _refuted(start + k + 1, p, lhs, rhs, strat, seed)
+        start, size = stop, MAX_CHUNK
+    return count, EqualityReport(True, count, mode=strat.describe(), seed=seed)
 
 
 def morphisms_equal(f: Morphism, g: Morphism, strat: EqualityStrategy) -> EqualityReport:
-    """Extensional comparison; reports the first counterexample in test order."""
+    """Extensional comparison; reports the first counterexample in test order.
+
+    An exhaustive comparison that can tabulate both sides compares the
+    tables. Otherwise sides with tables or builders are compared on batches
+    of the test points, and the closures take whatever points the batches
+    leave, in the same order.
+    """
     if f.dom != g.dom or f.cod != g.cod:
         raise DomainMismatch(f"cannot compare {f!r} with {g!r}")
     strat = strat.resolve(f.dom)
-
-    # vectorized path: exhaustive over a codec domain with both tables present
+    seed = None
     if isinstance(strat.mode, Exhaustive):
-        n = codec_size(f.dom)
+        # vectorized path: a codec domain with both tables present
+        n = table_codec_size(f.dom)
         if n is not None and n <= strat.bound:
             tf = f.table if f.table is not None else tabulate(f)
             tg = g.table if g.table is not None else tabulate(g)
@@ -270,36 +337,29 @@ def morphisms_equal(f: Morphism, g: Morphism, strat: EqualityStrategy) -> Equali
                 if diff.size == 0:
                     return EqualityReport(True, n, mode="exhaustive")
                 i = int(diff[0])
-                x = decode(f.dom, i)
-                return EqualityReport(
-                    False,
-                    n,
-                    counterexample={
-                        "input": to_jsonable(x),
-                        "lhs": to_jsonable(decode(f.cod, int(tf[i]))),
-                        "rhs": to_jsonable(decode(g.cod, int(tg[i]))),
-                    },
-                    mode="exhaustive",
-                )
+                return _refuted(n, decode(f.dom, i), decode(f.cod, int(tf[i])),
+                                decode(g.cod, int(tg[i])), strat, None)
+        count = space_size(f.dom)
+        if count is None or count > strat.bound:
+            raise SizeExceeded(
+                f"exhaustive mode illegal on {format_space(f.dom)} "
+                f"(size {count} > bound {strat.bound})"
+            )
+    else:
+        count, seed = strat.mode.count, strat.mode.seed
 
-    points, seed = _test_points(f.dom, strat)
-    checked = 0
-    for x in points:
-        checked += 1
+    start = 0
+    if has_batches(f.dom) and has_batches(f.cod) and all(
+            m.table is not None or m.table_builder is not None for m in (f, g)):
+        start, rep = _compare_batches(f, g, strat, count, seed)
+        if rep is not None:
+            return rep
+    points = iter_space(f.dom) if seed is None else sample_space(f.dom, count, seed)
+    for checked, x in enumerate(itertools.islice(points, start, None), start + 1):
         a, b = f(x), g(x)
         if not elements_equal(f.cod, a, b, strat.abs_tol, strat.rel_tol):
-            return EqualityReport(
-                False,
-                checked,
-                counterexample={
-                    "input": to_jsonable(x),
-                    "lhs": to_jsonable(a),
-                    "rhs": to_jsonable(b),
-                },
-                mode=strat.describe(),
-                seed=seed,
-            )
-    return EqualityReport(True, checked, mode=strat.describe(), seed=seed)
+            return _refuted(checked, x, a, b, strat, seed)
+    return EqualityReport(True, count, mode=strat.describe(), seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ function leaf the coordinates of its k positions, position 0 first.
 
 Stream truncation and the difference combinator's splice are prefix
 surgery, written once: `splice_at(space, p, a, b)` takes indices < p of
-every stream leaf from `a` and the rest from `b`, and on codes `v_trunc`
-and `v_splice0` move the index-0 digit block of each stream leaf.
+every stream leaf from `a` and the rest from `b`, and on batches `v_trunc`
+and `v_splice0` move the index-0 digits or columns of each stream leaf.
 
 Spaces whose carrier is finite and closed under the group operations
 (everything except BoundedInt and Real) additionally get an integer
@@ -39,7 +39,8 @@ number over the CyclicGroup leaves, most significant first (`radices`;
 Terminal has radix 1). `v_add`, `v_sub`, `v_neg` and `v_scale` act on
 each digit modulo its radix: by a gather from a Cayley table built once
 per space (n x n or length n for n codes) while it holds at most
-CAYLEY_LIMIT entries, else by the digit-wise kernel on the codes.
+CAYLEY_LIMIT entries, else by the digit-wise kernel on the codes. On a
+batch of coordinates (see "batches" below) they act column by column.
 """
 
 from __future__ import annotations
@@ -70,6 +71,8 @@ class Space:
     # a declared field, not a cached_property: reading `__dict__` would turn
     # the instance's attributes into a plain dict and slow every field read
     _ops: Optional["ElementOps"] = field(default=None, init=False, repr=False, compare=False)
+    # the batch layout (`_layout`), kept the same way; False: no batches
+    _batch: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def ops(self) -> "ElementOps":
@@ -153,7 +156,10 @@ class ElementOps(NamedTuple):
     `(a, b, abs_tol, rel_tol)`, `draw` a `random.Random`, and `unflatten`
     `(coords, pos)`, returning the element and the next position.
     `elements()` iterates over the `size` elements of the enumeration (size
-    None: not enumerable). An operation the space lacks raises when called.
+    None: not enumerable). `coords` describes each coordinate, in `flatten`
+    order: `(lo, size, n)` for the window lo .. lo + size - 1 of a Z<n> or
+    Int leaf (n = 0 for an Int), None for a real one. An operation the space
+    lacks raises when called.
     """
 
     zero: object
@@ -169,6 +175,7 @@ class ElementOps(NamedTuple):
     decode: Callable
     elements: Callable
     size: Optional[int]
+    coords: tuple
 
 
 def _fails(exc, space: Space, message):
@@ -200,6 +207,7 @@ def _build_ops(space: Space) -> ElementOps:
             lambda i: i % n,
             lambda: iter(range(n)),
             n,
+            ((0, n, n),),
         )
     if isinstance(space, BoundedInt):
         lo, hi = space.lo, space.hi
@@ -217,6 +225,7 @@ def _build_ops(space: Space) -> ElementOps:
             no_codec,
             lambda: iter(range(lo, hi + 1)),
             hi - lo + 1,
+            ((lo, hi - lo + 1, 0),),
         )
     if isinstance(space, Real):
         d = space.dim
@@ -235,6 +244,7 @@ def _build_ops(space: Space) -> ElementOps:
             no_codec,
             _fails(NotEnumerable, space, lambda s: f"{format_space(s)} is not enumerable"),
             None,
+            (None,) * d,
         )
     if isinstance(space, (StreamPrefix, FunctionSpace)):
         # k elements of one space, acted on position by position; a code is
@@ -245,7 +255,7 @@ def _build_ops(space: Space) -> ElementOps:
             base, k = space.res, space_size(space.arg)
             if k is None:
                 raise NotEnumerable(f"{format_space(space)} has a non-enumerable argument")
-        z, add, neg, sub, scale, equal, draw, flat, unflat, enc, dec, elems, bs = base.ops
+        z, add, neg, sub, scale, equal, draw, flat, unflat, enc, dec, elems, bs, sc = base.ops
         b = codec_size(base)
 
         def unflatten(v, pos):
@@ -282,12 +292,13 @@ def _build_ops(space: Space) -> ElementOps:
             no_codec if b is None else decode,
             lambda: itertools.product(elems(), repeat=k),
             None if bs is None else bs**k,
+            sc * k,
         )
     if isinstance(space, Product):
         (lz, ladd, lneg, lsub, lscale, leq, ldraw, lflat, lunflat, lenc, ldec,
-         lelems, ls) = space.left.ops
+         lelems, ls, lsc) = space.left.ops
         (rz, radd, rneg, rsub, rscale, req, rdraw, rflat, runflat, renc, rdec,
-         relems, rs) = space.right.ops
+         relems, rs, rsc) = space.right.ops
         rn = codec_size(space.right)
 
         def unflatten(v, pos):
@@ -309,6 +320,7 @@ def _build_ops(space: Space) -> ElementOps:
             no_codec if rn is None else lambda i: (ldec(i // rn), rdec(i % rn)),
             lambda: itertools.product(lelems(), relems()),
             None if ls is None or rs is None else ls * rs,
+            lsc + rsc,
         )
     if isinstance(space, Terminal):
         return ElementOps(
@@ -325,6 +337,7 @@ def _build_ops(space: Space) -> ElementOps:
             lambda i: (),
             lambda: iter([()]),
             1,
+            (),
         )
     raise TypeMismatch(f"unknown space {space!r}")
 
@@ -478,9 +491,145 @@ def sample_space(space: Space, count: int, seed: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# group operations on codes: Cayley-table gathers over a digit-wise kernel
+# batches: many elements of one space in one int64 array
+#
+# A batch of a space with an int64 codec is a 1-D array of codes. A batch of
+# any other space whose coordinates are all integers is an (N, d) array of
+# coordinates laid out like `flatten`, Z<n> ones reduced mod n. An operation
+# whose exact result might leave int64 raises OverflowError instead.
 
 _I64 = np.int64
+_I64_MAX = 2**63 - 1
+_INT64_SAFE = 2**62  # codes above this cannot live in an int64 table
+
+
+class _Layout(NamedTuple):
+    codec: Optional[int]  # the int64 codec size; batches are codes when set
+    width: int  # coordinates per element
+    zcols: np.ndarray  # the columns of the Z<n> coordinates
+    mods: np.ndarray  # and their moduli
+    stride: Optional[np.ndarray]  # codes only: each coordinate's weight
+
+
+@functools.lru_cache(maxsize=1024)
+def _shared_layout(space: Space) -> Optional[_Layout]:
+    coords = (space._ops or space.ops).coords
+    if any(c is None or c[0] < -_I64_MAX or c[0] + c[1] - 1 > _I64_MAX for c in coords):
+        return None
+    zcols = np.array([k for k, (_, _, n) in enumerate(coords) if n], dtype=np.intp)
+    mods = np.array([coords[k][2] for k in zcols], dtype=_I64)
+    codec = codec_size(space)
+    if codec is None or codec > _INT64_SAFE:
+        return _Layout(None, len(coords), zcols, mods, None)
+    stride = [math.prod(n for _, _, n in coords[k + 1:]) for k in range(len(coords))]
+    return _Layout(codec, len(coords), zcols, mods, np.array(stride, dtype=_I64))
+
+
+def _layout(space: Space) -> Optional[_Layout]:
+    """The batch layout of `space`, kept on the instance; None: no batches."""
+    lay = space._batch
+    if lay is None:
+        lay = _shared_layout(space) or False
+        object.__setattr__(space, "_batch", lay)
+    return lay or None
+
+
+def has_batches(space: Space) -> bool:
+    return _layout(space) is not None
+
+
+def table_codec_size(space: Space) -> Optional[int]:
+    """Codec size when it is small enough for int64 table entries."""
+    lay = _layout(space)
+    return lay and lay.codec
+
+
+def magnitude(b: np.ndarray) -> int:
+    """The largest |value| in an int64 array, exactly (0 when it is empty)."""
+    return max(int(b.max(initial=0)), -int(b.min(initial=0)))
+
+
+def int64_guard(bound: int):
+    """OverflowError unless a result of magnitude at most `bound` fits int64."""
+    if bound > _I64_MAX:
+        raise OverflowError(f"a batch value may reach {bound}, beyond int64")
+
+
+def _from_coords(space: Space, c: np.ndarray) -> np.ndarray:
+    lay = _layout(space)
+    return c @ lay.stride if lay.codec else c
+
+
+def batch_coords(space: Space, b: np.ndarray) -> np.ndarray:
+    """The (N, d) coordinates of the batch `b` of `space`."""
+    lay = _layout(space)
+    return b[:, None] // lay.stride % lay.mods if lay.codec else b
+
+
+def coords_batch(space: Space, c: np.ndarray) -> np.ndarray:
+    """The batch with the (N, d) coordinates `c`, reduced as by `unflatten`."""
+    lay = _layout(space)
+    if lay.codec:
+        return (c % lay.mods) @ lay.stride
+    if lay.zcols.size:
+        c = c.copy()
+        c[:, lay.zcols] %= lay.mods
+    return c
+
+
+def split_batch(space: Product, b: np.ndarray, i: int) -> np.ndarray:
+    """Side `i` (0: left, 1: right) of the batch `b` of a product space."""
+    if _layout(space).codec:
+        n = _layout(space.right).codec
+        return b % n if i else b // n
+    w = _layout(space.left).width
+    return _from_coords(space.right, b[:, w:]) if i else _from_coords(space.left, b[:, :w])
+
+
+def pair_batch(space: Product, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    if _layout(space).codec:
+        return left * _layout(space.right).codec + right
+    return np.concatenate([batch_coords(space.left, left),
+                           batch_coords(space.right, right)], axis=1)
+
+
+def const_batch(space: Space, value, n: int) -> np.ndarray:
+    """`n` copies of the element `value`."""
+    if _layout(space).codec:
+        return np.full(n, encode(space, value), dtype=_I64)
+    return coords_batch(space, np.tile(np.array(flatten(space, value), dtype=_I64), (n, 1)))
+
+
+def enum_batch(space: Space, start: int, stop: int) -> np.ndarray:
+    """Elements start .. stop - 1 of `iter_space(space)`, which is mixed-radix
+    over the coordinates' windows, the first coordinate slowest."""
+    i = np.arange(start, stop, dtype=_I64)
+    if _layout(space).codec:
+        return i
+    coords = (space._ops or space.ops).coords
+    windows = np.unravel_index(i, [size for _, size, _ in coords])
+    return np.stack(windows, axis=1) + np.array([lo for lo, _, _ in coords], dtype=_I64)
+
+
+def batch_sampler(space: Space, seed: int) -> Callable[[int], np.ndarray]:
+    """`draw(k)`: the next k points of `sample_space(space, count, seed)`.
+    A coordinate is drawn by `randrange(size)`, the generator calls of the
+    element draws `randrange(n)` and `randint(lo, hi)`, less lo."""
+    rng = random.Random(derive_seed(seed, "sample", format_space(space)))
+    coords = (space._ops or space.ops).coords
+    below, sizes = rng.randrange, [size for _, size, _ in coords]
+    los = np.array([lo for lo, _, _ in coords], dtype=_I64)
+
+    def draw(k: int) -> np.ndarray:
+        out = np.array([below(s) for _ in range(k) for s in sizes], dtype=_I64)
+        return _from_coords(space, out.reshape(k, len(sizes)) + los)
+
+    return draw
+
+
+# ---------------------------------------------------------------------------
+# group operations on batches: codes by Cayley-table gathers over a digit-wise
+# kernel, coordinates column by column
 
 # Largest Cayley table, in entries: 8 MB of int64. Bigger spaces, such as
 # Stream(Z3,8) for the binary tables, use the digit-wise kernel directly.
@@ -528,20 +677,21 @@ def _cayley(space: Space, op: str, r: int = 0) -> Optional[np.ndarray]:
     """Read-only table of an operation on the codes of `space`: n x n for
     "add" and "sub", length n for "scale" by `r`; None over the limit."""
     n = math.prod(radices(space))
+    if (n if op == "scale" else n * n) > CAYLEY_LIMIT:
+        return None
     codes = np.arange(n, dtype=_I64)
     if op == "scale":
-        if n > CAYLEY_LIMIT:
-            return None
         table = _digitwise(space, lambda a: r * a, codes)
     else:
-        if n * n > CAYLEY_LIMIT:
-            return None
         table = _digitwise(space, _BINARY[op], codes[:, None], codes[None, :])
     table.setflags(write=False)
     return table
 
 
 def _binary(space: Space, op: str, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    if not _layout(space).codec:
+        int64_guard(magnitude(i) + magnitude(j))
+        return coords_batch(space, _BINARY[op](i, j))
     table = _cayley(space, op)
     if table is None:
         return _digitwise(space, _BINARY[op], i, j)
@@ -561,6 +711,10 @@ def v_sub(space: Space, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 
 def v_scale(space: Space, r: int, i: np.ndarray) -> np.ndarray:
+    if not _layout(space).codec:
+        int64_guard(abs(r) * magnitude(i))
+        return coords_batch(space, r * i)
+    int64_guard(abs(r) * max(radices(space)))  # the digit-wise kernel's r * digit
     table = _cayley(space, "scale", r)
     return _digitwise(space, lambda a: r * a, i) if table is None else table.take(i)
 
@@ -569,33 +723,46 @@ def v_neg(space: Space, i: np.ndarray) -> np.ndarray:
     return v_scale(space, -1, i)
 
 
-def _first_digits(space: Space, i: np.ndarray, what: str) -> np.ndarray:
-    """The codes `i` with every digit zeroed except the index-0 digit block
-    of each stream leaf; any other leaf but Terminal raises TypeMismatch."""
+def _first_columns(space: Space, what: str) -> list[int]:
+    """The coordinate columns of index 0 of every stream leaf; any other leaf
+    but Terminal raises TypeMismatch."""
+    cols, pos = [], 0
     for s in leaves(space):
         if not isinstance(s, StreamPrefix):
             raise TypeMismatch(f"{what} needs a stream-shaped space, got {s!r}")
+        w = len((s.base._ops or s.base.ops).coords)
+        cols += range(pos, pos + w)
+        pos += w * s.length
+    return cols
+
+
+def _digits(space: Space, i: np.ndarray, cols: list[int]) -> np.ndarray:
+    """The codes `i` with every digit but those of `cols` zeroed."""
+    lay = _layout(space)
     out = np.zeros_like(i)
-    stride = 1
-    for s in reversed(leaves(space)):
-        radix = codec_size(s.base)
-        lead = stride * radix ** (s.length - 1)  # the index-0 digit's stride
-        d = i // lead
-        d %= radix
-        d *= lead
+    for c in cols:
+        d = i // lay.stride[c]
+        d %= lay.mods[c]
+        d *= lay.stride[c]
         out += d
-        stride = lead * radix
     return out
 
 
 def v_trunc(space: Space, i: np.ndarray) -> np.ndarray:
-    """Index transform of stream truncation (zero the index-0 digit)."""
-    return i - _first_digits(space, i, "truncation")
+    """Batch transform of stream truncation (zero index 0)."""
+    return v_splice0(space, None, i, "truncation")
 
 
-def v_splice0(space: Space, i0: np.ndarray, i1: np.ndarray) -> np.ndarray:
-    """Index transform of splice: index-0 digit from i0, the rest from i1."""
-    return i1 - _first_digits(space, i1, "splice") + _first_digits(space, i0, "splice")
+def v_splice0(space: Space, i0: Optional[np.ndarray], i1: np.ndarray,
+              what: str = "splice") -> np.ndarray:
+    """Batch transform of splice: index 0 from i0 (None: zero), the rest from i1."""
+    cols = _first_columns(space, what)
+    if _layout(space).codec:
+        out = i1 - _digits(space, i1, cols)
+        return out if i0 is None else out + _digits(space, i0, cols)
+    out = i1.copy()
+    out[:, cols] = 0 if i0 is None else i0[:, cols]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,9 @@ def test_usage_error_exits_two(capsys):
     # a stream leaf over a product base is not a streams space
     ["check", "--model", "streams:k=4", "--space", "Stream((Z3 x Z3),3)", "--subjects", "1",
      "--axioms", "CdC0", "--seed", "1"],
+    # so a stream primitive there is refused as such, not by Python arithmetic
+    ["eval", "--model", "streams:k=2", "--space", "Stream((Z3 x Z3),2)",
+     "--term", "(prim psq)", "--at", "[(1,2),(0,1)]"],
 ])
 def test_bad_input_exits_two(capsys, argv):
     # exit 1 means "law violated": a crash or an empty run must not say so
@@ -89,6 +92,8 @@ def test_bad_input_exits_two(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+    if argv[0] == "eval" and "--model" in argv:
+        assert "is not a legal streams:k=2 space" in captured.err
 
 
 def test_replay_determinism(capsys):

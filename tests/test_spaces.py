@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffkit import spaces
 from diffkit.errors import NotEnumerable, SizeExceeded
 from diffkit.spaces import (
     CAYLEY_LIMIT,
@@ -163,6 +165,19 @@ _CODEC_SPACES = [parse_space(t) for t in _TABLED + _OVER_LIMIT] + [FunctionSpace
 def test_cayley_limit_splits_the_differential_spaces():
     assert all(codec_size(parse_space(t)) ** 2 <= CAYLEY_LIMIT for t in _TABLED)
     assert all(codec_size(parse_space(t)) ** 2 > CAYLEY_LIMIT for t in _OVER_LIMIT)
+
+
+def test_cayley_over_the_limit_allocates_nothing():
+    # 3^16 codes: refusing the tables must not build the codes first (344 MB)
+    space = parse_space("(Stream(Z3,8) x Stream(Z3,8))")
+    tracemalloc.start()
+    try:
+        assert spaces._cayley.__wrapped__(space, "add") is None
+        assert spaces._cayley.__wrapped__(space, "scale", 2) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("space", _CODEC_SPACES, ids=format_space)
