@@ -1,29 +1,52 @@
 """Layer microbenchmarks of the comparison paths and of sampling.
 
-Run with `python -m pytest microbench --benchmark-only`. Each group times
-one comparison both ways: on batches (codes or coordinate arrays) and
-through the closures alone, on the same points in the same order.
+Run with `python -m pytest microbench --benchmark-only`. Most groups time
+one comparison both ways: on batches (codes, coordinate arrays or float
+columns) and through the closures alone, on the same points in the same
+order. The rest time the layers a law check is built from: building an
+axiom's sides, tabulating a composite, the table path against the codes
+path, and Kleisli composition under each oracle strategy.
 """
 
+import numpy as np
 import pytest
 
-from diffkit.kernel import BaseCat, axiom_sides
+from diffkit.kernel import BaseCat, axiom_sides, compose
 from diffkit.models import get_model
-from diffkit.morphisms import EqualityStrategy, Exhaustive, Morphism, Sampled, morphisms_equal
-from diffkit.spaces import batch_sampler, parse_space, sample_space
+from diffkit.monad import DEFAULT_ORACLE, T_map, kleisli_compose, random_kleisli_subjects
+from diffkit.morphisms import (
+    Auto,
+    EqualityStrategy,
+    Exhaustive,
+    Morphism,
+    Sampled,
+    morphisms_equal,
+    tabulate,
+)
+from diffkit.spaces import batch_sampler, flatten, leaves, parse_space, sample_space
 
 STREAM = parse_space("Stream(Z3,8)")
+STREAM4 = parse_space("Stream(Z3,4)")
 
 
-def _sides(spec, space, axiom):
+def _sides(spec, space, axiom, seed=42):
     model = get_model(spec)
-    (f,) = model.random_subjects(space, 1, 42)
+    (f,) = model.random_subjects(space, 1, seed)
     ((_, lhs, rhs),) = axiom_sides(BaseCat(model), model, axiom, [f])
     return lhs, rhs
 
 
 def _closures_only(m):
-    return Morphism(m.dom, m.cod, m.fn, name=m.name)
+    """`m` without its batch forms. Its closure refuses arrays, so on a real
+    stage the comparison hands every point to the closures as well (at the
+    cost of one `flatten` per point)."""
+
+    def fn(x, _fn=m.fn, _dom=m.dom):
+        if isinstance(flatten(_dom, x)[0], np.ndarray):
+            raise TypeError("evaluated point by point only")
+        return _fn(x)
+
+    return Morphism(m.dom, m.cod, fn, name=m.name)
 
 
 def _compare(benchmark, lhs, rhs, strat, closures, rounds):
@@ -45,6 +68,70 @@ def test_sampled_stream_comparison(benchmark, closures):
 def test_exhaustive_int_comparison(benchmark, closures):
     lhs, rhs = _sides("findiff", parse_space("Int[-100,100]"), "CdC0")
     _compare(benchmark, lhs, rhs, EqualityStrategy(Exhaustive()), closures, 3)
+
+
+@pytest.mark.parametrize("closures", [False, True], ids=["columns", "closures"])
+@pytest.mark.parametrize("text", ["R^1", "R^2"])
+def test_sampled_real_comparison(benchmark, text, closures):
+    benchmark.group = f"CdC7a sides on ({text})^4, 256 samples"
+    lhs, rhs = _sides("smooth", parse_space(text), "CdC7a")
+    _compare(benchmark, lhs, rhs, EqualityStrategy(Sampled(256, 1)), closures, 5)
+
+
+@pytest.mark.parametrize("strat", [EqualityStrategy(Exhaustive()),
+                                   EqualityStrategy(Sampled(81 * 81, 1))],
+                         ids=["table", "codes"])
+@pytest.mark.benchmark(group="CdC0 sides on Stream(Z3,4)^2, 6561 points")
+def test_table_against_codes(benchmark, strat):
+    # fresh sides each round: a side keeps the table it builds
+    rep = benchmark.pedantic(
+        morphisms_equal, setup=lambda: ((*_sides("streams:k=4", STREAM4, "CdC0"), strat), {}),
+        rounds=5, iterations=1)
+    assert rep.passed and rep.checked == 81 * 81
+
+
+@pytest.mark.benchmark(group="tabulate d[g] . T(f) on Stream(Z3,4)^2")
+def test_tabulate_composite(benchmark):
+    model = get_model("streams:k=4")
+
+    def setup():  # fresh subjects: every map keeps the table it builds
+        f, g = model.random_subjects(STREAM4, 2, 42)
+        return (compose(model.derivative(g), T_map(model, f)),), {}
+
+    table = benchmark.pedantic(tabulate, setup=setup, rounds=5, iterations=1)
+    assert table is not None and len(table) == 81 * 81
+
+
+@pytest.mark.parametrize("spec,text", [("streams:k=8", "Stream(Z3,8)"), ("smooth", "R^2")])
+def test_axiom_sides_cdc7a(benchmark, spec, text):
+    benchmark.group = "axiom_sides for CdC7a"
+    model, space = get_model(spec), parse_space(text)
+
+    def setup():  # a fresh subject: derivatives are memoized on their subject
+        return (BaseCat(model), model, "CdC7a", model.random_subjects(space, 1, 42)), {}
+
+    ((_, lhs, _),) = benchmark.pedantic(axiom_sides, setup=setup, rounds=20, iterations=1)
+    assert len(leaves(lhs.dom)) == 4
+
+
+@pytest.mark.parametrize("spec,text,oracle", [
+    ("streams:k=4", "Stream(Z3,4)", EqualityStrategy(Exhaustive())),
+    ("streams:k=4", "Stream(Z3,4)", DEFAULT_ORACLE),
+    ("streams:k=4", "Stream(Z3,4)", EqualityStrategy(Auto(256, 1))),
+    ("smooth", "R^2", DEFAULT_ORACLE),
+    ("smooth", "R^2", EqualityStrategy(Sampled(256, 1))),
+], ids=["streams-exhaustive", "streams-sampled8", "streams-auto", "smooth-sampled8",
+        "smooth-sampled256"])
+def test_kleisli_compose_oracle(benchmark, spec, text, oracle):
+    benchmark.group = "kleisli_compose by oracle strategy"
+    model, space = get_model(spec), parse_space(text)
+
+    def setup():
+        f, g = random_kleisli_subjects(model, space, 2, 42)
+        return (model, g, f, oracle), {}
+
+    h = benchmark.pedantic(kleisli_compose, setup=setup, rounds=5, iterations=1)
+    assert h.dom == space
 
 
 @pytest.mark.benchmark(group="4096 samples of Stream(Z3,8)")

@@ -5,12 +5,21 @@ nesting duals yields higher derivatives. The infinitesimal extension is
 zero, so the induced action is first projection. Morphisms in this
 model must be built from the registered primitive grammar so that
 evaluation stays generic over the number type.
+
+The contract: every closure of this model is generic over floats, `Dual`s
+and float64 arrays, nested in any order (a `Dual` of arrays, a `Dual` of
+`Dual`s of arrays). `d_sin`, `d_cos` and `d_exp` use `math` on floats and
+`np` on arrays, and `Dual` opts out of numpy's ufuncs, so `ndarray * Dual`
+is a `Dual`, never an object array. A comparison evaluates a closure once
+on an element whose scalars are arrays of sampled points (`morphisms`).
 """
 
 from __future__ import annotations
 
 import math
 import random
+
+import numpy as np
 
 from ..errors import UnsupportedPrimitive
 from ..kernel import DifferenceModel, zero_map
@@ -32,6 +41,8 @@ class Dual:
     """a + b*delta with delta^2 = 0; entries may themselves be duals."""
 
     __slots__ = ("primal", "tangent")
+    # numpy defers every binary operation with a Dual to the Dual's methods
+    __array_ufunc__ = None
 
     def __init__(self, primal, tangent):
         self.primal = primal
@@ -72,20 +83,20 @@ def _lift(x):
 def d_sin(x):
     if isinstance(x, Dual):
         return Dual(d_sin(x.primal), d_cos(x.primal) * x.tangent)
-    return math.sin(x)
+    return np.sin(x) if isinstance(x, np.ndarray) else math.sin(x)
 
 
 def d_cos(x):
     if isinstance(x, Dual):
         return Dual(d_cos(x.primal), -d_sin(x.primal) * x.tangent)
-    return math.cos(x)
+    return np.cos(x) if isinstance(x, np.ndarray) else math.cos(x)
 
 
 def d_exp(x):
     if isinstance(x, Dual):
         e = d_exp(x.primal)
         return Dual(e, e * x.tangent)
-    return math.exp(x)
+    return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
 
 
 def _dualize(space: Space, x, y):

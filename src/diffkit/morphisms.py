@@ -12,10 +12,13 @@ the domain batch `idx`. Codec domains that fit TABLE_LIMIT are tabulated
 once and indexed, unless a small request covers less than a sixteenth of
 them; larger ones are evaluated at just the requested codes, so a
 composite whose own domain is small reads big inner maps such as second
-derivatives without filling their whole domains. Batches let
-comparisons run as array operations, chunk by chunk; closure evaluation
-stays the semantic ground truth, the fallback for whatever has no
-batch form, and the test suite checks the two against each other.
+derivatives without filling their whole domains. On a real stage, whose
+coordinates are all real, a comparison calls each side's closure once
+per chunk, on the element whose scalars are the float64 columns of the
+chunk's points. Batches let comparisons run as array operations, chunk
+by chunk; closure evaluation stays the semantic ground truth, the
+fallback for whatever has no batch form, and the test suite checks the
+two against each other.
 """
 
 from __future__ import annotations
@@ -39,11 +42,13 @@ from .spaces import (
     elements_equal,
     encode,
     enum_batch,
+    flatten,
     format_space,
     has_batches,
     int64_guard,
     iter_space,
     magnitude,
+    real_stage,
     sample_space,
     space_size,
     table_codec_size,
@@ -285,24 +290,66 @@ def _refuted(checked: int, x, lhs, rhs, strat: EqualityStrategy, seed) -> Equali
     return EqualityReport(False, checked, counterexample=cx, mode=strat.describe(), seed=seed)
 
 
+def _code_mismatch(f: Morphism, g: Morphism, x: np.ndarray, strat) -> Optional[np.ndarray]:
+    """Where the batches of `f` and `g` at `x` differ (exactly: `strat`'s
+    tolerances are for reals); None: no batches."""
+    a = codes_at(f, x)
+    b = None if a is None else codes_at(g, x)
+    if b is None:
+        return None
+    ne = a != b
+    return ne if ne.ndim == 1 else ne.any(axis=1)
+
+
+def _float_columns(m: Morphism, p, n: int) -> Optional[np.ndarray]:
+    """The (n, w) values of `m` at `p`, an element whose scalars are columns
+    of n points, by one call of its closure; None when the call raises,
+    gives other than float64 values broadcastable to (n,), or a value that is
+    not finite. The closures then redo the points one by one: they raise a
+    genuine error again, and `_real_close` judges non-finite values."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            cols = [np.asarray(c) for c in flatten(m.cod, m.fn(p))]
+        if any(c.dtype != np.float64 for c in cols):
+            return None
+        out = np.empty((n, len(cols)))
+        for j, c in enumerate(cols):
+            out[:, j] = c
+    except Exception:  # a float error, or a closure not generic over arrays
+        return None
+    return out if np.isfinite(out).all() else None
+
+
+def _column_mismatch(f: Morphism, g: Morphism, x: np.ndarray, strat) -> Optional[np.ndarray]:
+    """Where `f` and `g` differ beyond the tolerances at the float64
+    coordinates `x` of a real stage, as `_real_close` decides point by
+    point; None when a side has no column form there."""
+    p = unflatten(f.dom, list(x.T))
+    a = _float_columns(f, p, len(x))
+    b = None if a is None else _float_columns(g, p, len(x))
+    if b is None:
+        return None
+    tol = strat.abs_tol + strat.rel_tol * np.maximum(np.abs(a), np.abs(b))
+    return ~(np.abs(a - b) <= tol).all(axis=1)
+
+
 def _compare_batches(f: Morphism, g: Morphism, strat: EqualityStrategy, count: int, seed):
     """Compare `f` and `g` on the test set (seed None: the enumeration) as
     batches, chunk by chunk: (start, report), where a report of None leaves
     the points from `start` on to the closures."""
     start, size = 0, FIRST_CHUNK
     draw = None if seed is None else batch_sampler(f.dom, seed)
+    mismatch = _column_mismatch if real_stage(f.dom) else _code_mismatch
     while start < count:
         stop = min(count, start + size)
         try:  # a window past int64 has no batch
             x = enum_batch(f.dom, start, stop) if draw is None else draw(stop - start)
         except OverflowError:
             return start, None
-        a = codes_at(f, x)
-        b = None if a is None else codes_at(g, x)
-        if b is None:
+        ne = mismatch(f, g, x, strat)
+        if ne is None:
             return start, None
-        ne = a != b
-        bad = np.flatnonzero(ne if ne.ndim == 1 else ne.any(axis=1))
+        bad = np.flatnonzero(ne)
         if bad.size:
             k = int(bad[0])
             p = decode(f.dom, int(x[k])) if x.ndim == 1 else unflatten(f.dom, x[k].tolist())
@@ -318,9 +365,9 @@ def morphisms_equal(f: Morphism, g: Morphism, strat: EqualityStrategy) -> Equali
     """Extensional comparison; reports the first counterexample in test order.
 
     An exhaustive comparison that can tabulate both sides compares the
-    tables. Otherwise sides with tables or builders are compared on batches
-    of the test points, and the closures take whatever points the batches
-    leave, in the same order.
+    tables. Otherwise sides with tables or builders, and any sides on a real
+    stage, are compared on batches of the test points, and the closures take
+    whatever points the batches leave, in the same order.
     """
     if f.dom != g.dom or f.cod != g.cod:
         raise DomainMismatch(f"cannot compare {f!r} with {g!r}")
@@ -349,8 +396,8 @@ def morphisms_equal(f: Morphism, g: Morphism, strat: EqualityStrategy) -> Equali
         count, seed = strat.mode.count, strat.mode.seed
 
     start = 0
-    if has_batches(f.dom) and has_batches(f.cod) and all(
-            m.table is not None or m.table_builder is not None for m in (f, g)):
+    if real_stage(f.dom) or (has_batches(f.dom) and has_batches(f.cod) and all(
+            m.table is not None or m.table_builder is not None for m in (f, g))):
         start, rep = _compare_batches(f, g, strat, count, seed)
         if rep is not None:
             return rep

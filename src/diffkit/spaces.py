@@ -496,7 +496,8 @@ def sample_space(space: Space, count: int, seed: int) -> list:
 # A batch of a space with an int64 codec is a 1-D array of codes. A batch of
 # any other space whose coordinates are all integers is an (N, d) array of
 # coordinates laid out like `flatten`, Z<n> ones reduced mod n. An operation
-# whose exact result might leave int64 raises OverflowError instead.
+# whose exact result might leave int64 raises OverflowError instead. A real
+# stage, whose coordinates are all real, has float64 coordinate batches.
 
 _I64 = np.int64
 _I64_MAX = 2**63 - 1
@@ -536,6 +537,13 @@ def _layout(space: Space) -> Optional[_Layout]:
 
 def has_batches(space: Space) -> bool:
     return _layout(space) is not None
+
+
+def real_stage(space: Space) -> bool:
+    """Every coordinate is real: a batch is an (N, d) float64 array of
+    coordinates, and closures evaluate on its columns (`morphisms`)."""
+    coords = (space._ops or space.ops).coords
+    return bool(coords) and not any(coords)
 
 
 def table_codec_size(space: Space) -> Optional[int]:
@@ -614,9 +622,14 @@ def enum_batch(space: Space, start: int, stop: int) -> np.ndarray:
 def batch_sampler(space: Space, seed: int) -> Callable[[int], np.ndarray]:
     """`draw(k)`: the next k points of `sample_space(space, count, seed)`.
     A coordinate is drawn by `randrange(size)`, the generator calls of the
-    element draws `randrange(n)` and `randint(lo, hi)`, less lo."""
+    element draws `randrange(n)` and `randint(lo, hi)`, less lo; on a real
+    stage by the element draw's `uniform`, into float64 coordinates."""
     rng = random.Random(derive_seed(seed, "sample", format_space(space)))
     coords = (space._ops or space.ops).coords
+    if real_stage(space):
+        uniform, width = rng.uniform, len(coords)
+        return lambda k: np.array([uniform(REAL_SAMPLE_LO, REAL_SAMPLE_HI)
+                                   for _ in range(k * width)]).reshape(k, width)
     below, sizes = rng.randrange, [size for _, size, _ in coords]
     los = np.array([lo for lo, _, _ in coords], dtype=_I64)
 

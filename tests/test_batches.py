@@ -2,20 +2,26 @@
 
 `morphisms_equal` compares the two sides of a law on batches of points:
 codes where the stage has an int64 codec, coordinate arrays where it has
-integer coordinates but no codec. The closure loop below is the reference
-it must reproduce exactly: the verdict, `checked` (the index of the first
-mismatch plus one, or the size of the test set) and the counterexample,
-for the same points in the same order.
+integer coordinates but no codec, and on a real stage float64 columns
+that each side's closure takes in one call per chunk. The closure loop
+below is the reference it must reproduce exactly: the verdict, `checked`
+(the index of the first mismatch plus one, or the size of the test set)
+and the counterexample, for the same points in the same order.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffkit import cli, monad
 from diffkit.kernel import BaseCat, add, axiom_sides, compose, identity, projection, zero_map
 from diffkit.models import get_model
 from diffkit.morphisms import (
+    FIRST_CHUNK,
+    MAX_CHUNK,
     Auto,
     EqualityStrategy,
     Exhaustive,
@@ -27,11 +33,13 @@ from diffkit.morphisms import (
 )
 from diffkit.spaces import (
     batch_coords,
+    batch_sampler,
     coords_batch,
     elements_equal,
     flatten,
     iter_space,
     parse_space,
+    real_stage,
     sample_space,
     space_size,
     table_codec_size,
@@ -76,16 +84,48 @@ def counted(m):
     return out
 
 
+def chunks(n):
+    """The chunks a batched comparison evaluates to decide its first n points."""
+    return 1 + -(-max(n - FIRST_CHUNK, 0) // MAX_CHUNK)
+
+
+def defined(f, g, strat, n):
+    """Whether both closures give finite values without raising at every
+    point of the chunks that decide the first n test points: where one does
+    not, a real stage hands the chunk to the closures."""
+    strat = strat.resolve(f.dom)
+    points = sample_space(f.dom, strat.mode.count, strat.mode.seed)
+    stop = FIRST_CHUNK + MAX_CHUNK * (chunks(n) - 1)
+    try:
+        return all(math.isfinite(c) for x in points[:stop] for m in (f, g)
+                   for c in flatten(m.cod, m(x)))
+    except (ArithmeticError, ValueError):
+        return False
+
+
 def assert_agrees(f, g, strat, batched=True):
-    """The report equals the closure loop's; where both sides have a batch
-    form, each side's closure runs at most once (at the counterexample)."""
-    batched = batched and all(m.table is not None or m.table_builder is not None
-                              for m in (f, g))
-    f, g = counted(f), counted(g)
-    rep = morphisms_equal(f, g, strat)
-    if batched:
-        assert len(f.calls) <= 1 and len(g.calls) <= 1
-    assert (rep.passed, rep.checked, rep.counterexample) == closure_equal(f, g, strat)
+    """The report, or the error raised, equals the closure loop's. Where both
+    sides have a batch form, each side's closure runs at most once (at the
+    counterexample); on a real stage, once per chunk and once at the
+    counterexample, unless a point of those chunks is undefined in floats."""
+    real = real_stage(f.dom)
+    batched = batched and (real or all(m.table is not None or m.table_builder is not None
+                                       for m in (f, g)))
+    try:
+        want = closure_equal(f, g, strat)
+    except ArithmeticError as e:
+        with pytest.raises(type(e)) as got:
+            morphisms_equal(f, g, strat)
+        assert str(got.value) == str(e)
+        return None
+    counted_f, counted_g = counted(f), counted(g)
+    rep = morphisms_equal(counted_f, counted_g, strat)
+    assert (rep.passed, rep.checked, rep.counterexample) == want
+    calls = (len(counted_f.calls), len(counted_g.calls))
+    if batched and not real:
+        assert max(calls) <= 1
+    elif batched and defined(f, g, strat, rep.checked):
+        assert calls == (chunks(rep.checked) + (not rep.passed),) * 2
     return rep
 
 
@@ -227,3 +267,167 @@ def test_int64_wrap_never_decides(name, lhs_of, rhs_of, want):
     rep = assert_agrees(lhs_of(model, space), rhs_of(model, space),
                         EqualityStrategy(Exhaustive()), batched=False)
     assert not rep.passed and rep.counterexample["lhs"] == want
+
+
+# ---------------------------------------------------------------------------
+# real stages: float64 columns, each side's closure called once per chunk
+
+sm = get_model("smooth")
+REAL = ["R^1", "R^2", "(R^1 x R^2)"]
+REAL_AXIOMS = ["CdC0", "CdC2", "CdC5", "CdC6a", "CdC7a", "Linearity", "CDC2-additivity"]
+real_strategies = st.builds(
+    lambda auto, c, s: EqualityStrategy((Auto if auto else Sampled)(c, s)),
+    st.booleans(), st.integers(2, 300), st.integers(0, 10**6))
+
+
+@pytest.mark.parametrize("text", REAL)
+def test_real_batches_are_the_sampled_points(text):
+    space = parse_space(text)
+    draw = batch_sampler(space, 5)
+    rows = np.concatenate([draw(FIRST_CHUNK), draw(24)])
+    assert rows.dtype == np.float64
+    assert [unflatten(space, r) for r in rows.tolist()] == sample_space(space, 40, 5)
+
+
+def again(m):
+    """`m` as a new morphism with the same closure: equal to it everywhere."""
+    return Morphism(m.dom, m.cod, m.fn, model=m.model, name=m.name)
+
+
+@pytest.mark.parametrize("text", REAL)
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6), strat=real_strategies, axiom=st.sampled_from(REAL_AXIOMS))
+def test_smooth_sides_agree_with_closures(text, seed, strat, axiom):
+    space = parse_space(text)
+    f, g = sm.random_subjects(space, 2, seed)
+    d = sm.derivative
+    pairs = axiom_sides(BaseCat(sm), sm, axiom, [f, g]) + [
+        ("subjects", f, g),
+        ("derivatives", d(f), d(g)),
+        ("again", d(f), again(d(f))),
+        ("second derivatives", d(d(f)), d(d(g))),  # duals of duals of arrays
+        ("second again", d(d(f)), again(d(d(f)))),
+        ("composites", compose(g, f), compose(f, g)),
+    ]
+    for _, lhs, rhs in pairs:
+        assert_agrees(lhs, rhs, strat)
+
+
+@pytest.mark.parametrize("text", ["R^1", "R^2"])
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6), strat=real_strategies)
+def test_kleisli_compose_sides_agree_with_closures(text, seed, strat):
+    # every composition compares its closed form with mu . T(g) . f
+    seen = []
+
+    def compare(f, g, oracle):
+        seen.append(oracle)
+        return assert_agrees(f, g, strat)
+
+    f, g = monad.random_kleisli_subjects(sm, parse_space(text), 2, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monad, "morphisms_equal", compare)
+        monad.kleisli_compose(sm, g, f)
+        monad.kleisli_compose(sm, f, f)
+    assert len(seen) == 2
+
+
+@pytest.mark.parametrize("text", REAL)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6), strat=real_strategies)
+def test_random_real_terms_agree_with_closures(text, seed, strat):
+    space = parse_space(text)
+    t = random_term(sm, space, 3, seed)
+    m, m2 = interpret(t, sm, space), interpret(t, sm, space)
+    (f,) = sm.random_subjects(space, 1, seed)
+    pairs = [(m, m2), (sm.derivative(m), sm.derivative(m2))]
+    if (m.dom, m.cod) == (space, space):  # a product space may type a term otherwise
+        pairs += [(m, f), (compose(m, f), compose(f, m))]
+    for lhs, rhs in pairs:
+        assert_agrees(lhs, rhs, strat)
+
+
+def real_spike(dom, cod, at):
+    """A map generic over arrays that is nonzero at the point `at` of the
+    real stage `dom` only: added to a side, it moves the first mismatch
+    there."""
+    target, width = flatten(dom, at), len(flatten(cod, zero_elem(cod)))
+
+    def fn(x):
+        hit = np.all([c == t for c, t in zip(flatten(dom, x), target)], axis=0)
+        return unflatten(cod, [np.where(hit, 1.0, 0.0)] * width)
+
+    return Morphism(dom, cod, fn, name="spike")
+
+
+@pytest.mark.parametrize("text", ["R^1", "R^2"])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6), data=st.data())
+def test_first_real_mismatch_anywhere_in_the_test_set(text, seed, data):
+    # past the first chunk of 16 and the next of 4096, `checked` shows any
+    # offset error, and the counts show one closure call per chunk
+    space = parse_space(text)
+    lhs = sm.derivative(compose(sm.primitive("sin", space), sm.primitive("sq", space)))
+    count = FIRST_CHUNK + MAX_CHUNK + 40
+    strat = EqualityStrategy(Sampled(count, seed))
+    points = sample_space(lhs.dom, count, seed)
+    k = data.draw(st.one_of(
+        st.sampled_from([0, FIRST_CHUNK - 1, FIRST_CHUNK, FIRST_CHUNK + MAX_CHUNK - 1,
+                         FIRST_CHUNK + MAX_CHUNK, count - 1]),
+        st.integers(0, count - 1)))
+    rep = assert_agrees(lhs, add(lhs, real_spike(lhs.dom, lhs.cod, points[k])), strat)
+    assert rep.checked == k + 1 and rep.counterexample["input"] == to_jsonable(points[k])
+
+
+def test_each_side_runs_once_per_chunk():
+    space = parse_space("R^2")
+    lhs = sm.derivative(sm.primitive("sin", space))
+    f, g = counted(lhs), counted(again(lhs))
+    rep = morphisms_equal(f, g, EqualityStrategy(Sampled(2 * MAX_CHUNK, 3)))
+    assert rep.passed and rep.checked == 2 * MAX_CHUNK
+    assert len(f.calls) == len(g.calls) == 3
+    assert all(isinstance(c, np.ndarray) for x in f.calls for c in flatten(lhs.dom, x))
+
+
+# ---------------------------------------------------------------------------
+# float errors hand a chunk back to the closures, which decide
+
+R1 = parse_space("R^1")
+OVERFLOW = Sampled(64, 1)  # has points past x = 6.56, where exp(exp(x)) overflows
+
+
+def test_exp_overflow_raises_the_closures_error():
+    # exp(-exp(exp(x))): on arrays the overflow would come back as a finite 0,
+    # while the closures raise OverflowError from math.exp
+    e, n = sm.primitive("exp", R1), sm.primitive("neg", R1)
+    f = compose(e, compose(n, compose(e, e)))
+    assert assert_agrees(f, again(f), EqualityStrategy(OVERFLOW)) is None
+    with pytest.raises(OverflowError, match="math range error"):
+        morphisms_equal(f, again(f), EqualityStrategy(OVERFLOW))
+
+
+def test_known_smooth_overflow_raises_as_before():
+    # a seed at which a smooth R^2 subject overflows math.exp on a sampled point
+    with pytest.raises(OverflowError, match="math range error"):
+        cli.main(["check", "--model", "smooth", "--space", "R^2", "--subjects", "1",
+                  "--seed", "0"])
+
+
+@pytest.mark.parametrize("rhs", [
+    lambda x: (x[0] + 1e300 * 1e300,),  # the float product is inf, with no error
+    lambda x: (x[0] * 1e300 * 1e300,),  # inf or -inf; arrays raise on overflow
+    lambda x: (x[0],),
+])
+def test_values_past_floats_give_the_closure_report(rhs):
+    # a product that overflows to inf without raising: `_real_close` holds
+    # inf = inf but not inf = -inf, nor inf = x
+    f = Morphism(R1, R1, lambda x: (x[0] + 1e300 * 1e300,), name="inf")
+    assert_agrees(f, Morphism(R1, R1, rhs), EqualityStrategy(OVERFLOW), batched=False)
+
+
+@pytest.mark.parametrize("rhs", ["sin", "cos"])
+def test_closures_not_generic_over_arrays_give_the_closure_report(rhs):
+    f = Morphism(R1, R1, lambda x: (math.sin(x[0]),), name="math.sin")
+    rep = assert_agrees(f, sm.primitive(rhs, R1), EqualityStrategy(Sampled(64, 2)),
+                        batched=False)
+    assert rep.passed == (rhs == "sin")

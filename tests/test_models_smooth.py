@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from diffkit.errors import ModelRestriction
@@ -22,6 +23,27 @@ def test_dual_arithmetic():
     assert prod.primal == 6.0 and prod.tangent == 2.0 * 4.0 + 1.0 * 3.0
     assert (a - b).tangent == -3.0
     assert (2.0 * a).tangent == 2.0
+
+
+def test_numpy_arrays_defer_to_dual():
+    # ndarray * Dual is a Dual of float64 arrays, never an object array
+    d = Dual(2.0, np.arange(3.0))
+    for out, primal, tangent in [(np.ones(3) * d, [2.0] * 3, [0.0, 1.0, 2.0]),
+                                 (np.ones(3) + d, [3.0] * 3, [0.0, 1.0, 2.0])]:
+        assert isinstance(out, Dual)
+        for part, want in [(out.primal, primal), (out.tangent, tangent)]:
+            assert isinstance(part, np.ndarray) and part.dtype == np.float64
+            assert part.tolist() == want
+
+
+def test_primitives_on_arrays_match_floats():
+    x = np.linspace(-10.0, 10.0, 41)
+    for name in ["sin", "cos", "exp", "cube"]:
+        f = sm.derivative(sm.primitive(name, R1))
+        (col,) = f(((x,), (np.full(41, 0.5),)))
+        assert col.dtype == np.float64
+        want = [f(((a,), (0.5,)))[0] for a in x.tolist()]
+        assert np.allclose(col, want, rtol=1e-15, atol=0.0)
 
 
 def test_cube_directional_derivative():
