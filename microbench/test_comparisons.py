@@ -2,10 +2,11 @@
 
 Run with `python -m pytest microbench --benchmark-only`. Most groups time
 one comparison both ways: on batches (codes, coordinate arrays or float
-columns) and through the closures alone, on the same points in the same
-order. The rest time the layers a law check is built from: building an
-axiom's sides, tabulating a composite, the table path against the codes
-path, and Kleisli composition under each oracle strategy.
+columns) and with sides stripped of their batch forms, on the same points
+in the same order. The rest time the layers a law check is built from:
+building an axiom's sides, tabulating a composite, one stage compared
+exhaustively against the same number of sampled points, and Kleisli
+composition under each oracle strategy.
 """
 
 import numpy as np
@@ -37,9 +38,11 @@ def _sides(spec, space, axiom, seed=42):
 
 
 def _closures_only(m):
-    """`m` without its batch forms. Its closure refuses arrays, so on a real
-    stage the comparison hands every point to the closures as well (at the
-    cost of one `flatten` per point)."""
+    """`m` without its batch forms. On a codec stage the comparison still
+    runs it as closure codes (`codes_at` evaluates the closure once per
+    distinct code); on a coordinate stage the closures take every point.
+    Its closure refuses arrays, so on a real stage the closures take every
+    point as well (at the cost of one `flatten` per point)."""
 
     def fn(x, _fn=m.fn, _dom=m.dom):
         if isinstance(flatten(_dom, x)[0], np.ndarray):
@@ -56,7 +59,7 @@ def _compare(benchmark, lhs, rhs, strat, closures, rounds):
     assert rep.passed
 
 
-@pytest.mark.parametrize("closures", [False, True], ids=["codes", "closures"])
+@pytest.mark.parametrize("closures", [False, True], ids=["codes", "closure-codes"])
 @pytest.mark.benchmark(group="CdC7a sides on Stream(Z3,8)^4, 256 samples")
 def test_sampled_stream_comparison(benchmark, closures):
     lhs, rhs = _sides("streams:k=8", STREAM, "CdC7a")
@@ -80,9 +83,9 @@ def test_sampled_real_comparison(benchmark, text, closures):
 
 @pytest.mark.parametrize("strat", [EqualityStrategy(Exhaustive()),
                                    EqualityStrategy(Sampled(81 * 81, 1))],
-                         ids=["table", "codes"])
+                         ids=["exhaustive", "sampled"])
 @pytest.mark.benchmark(group="CdC0 sides on Stream(Z3,4)^2, 6561 points")
-def test_table_against_codes(benchmark, strat):
+def test_exhaustive_against_sampled(benchmark, strat):
     # fresh sides each round: a side keeps the table it builds
     rep = benchmark.pedantic(
         morphisms_equal, setup=lambda: ((*_sides("streams:k=4", STREAM4, "CdC0"), strat), {}),

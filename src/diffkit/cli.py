@@ -151,7 +151,10 @@ class _PointParser:
 
 def parse_point(text: str):
     p = _PointParser(text)
-    v = p.value()
+    try:
+        v = p.value()
+    except RecursionError:
+        p.fail("nested too deeply")
     p.skip_ws()
     if p.pos != len(text):
         p.fail("trailing input")

@@ -12,17 +12,21 @@ the domain batch `idx`. Codec domains that fit TABLE_LIMIT are tabulated
 once and indexed, unless a small request covers less than a sixteenth of
 them; larger ones are evaluated at just the requested codes, so a
 composite whose own domain is small reads big inner maps such as second
-derivatives without filling their whole domains. On a real stage, whose
-coordinates are all real, a comparison calls each side's closure once
-per chunk, on the element whose scalars are the float64 columns of the
-chunk's points. Batches let comparisons run as array operations, chunk
-by chunk; closure evaluation stays the semantic ground truth, the
-fallback for whatever has no batch form, and the test suite checks the
-two against each other.
+derivatives without filling their whole domains.
+
+`morphisms_equal` walks its test set in one loop of chunks. On a stage
+with batches a chunk is one batch: codes or coordinates read through
+`codes_at`, or, on a real stage (every coordinate real), one call of each
+side's closure on the float64 columns of the chunk's points. Where a side
+has no batch form at a chunk, or the stage has none, the closures take
+the chunk's points one at a time. Closure evaluation stays the semantic
+ground truth: it recomputes every counterexample, and the test suite
+checks batches against it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -56,9 +60,10 @@ from .spaces import (
 )
 
 TABLE_LIMIT = 2_000_000  # max entries a lookup table may hold
-# A batched comparison evaluates its first FIRST_CHUNK points alone, so that
-# a refutation stops early, then MAX_CHUNK points at a time, which bounds its
-# memory.
+# A comparison evaluates its points MAX_CHUNK at a time, which bounds its
+# memory. A sampled one evaluates its first FIRST_CHUNK points alone, so that
+# a refutation stops early; an exhaustive one does not, so that its first
+# chunk fills the tables of a codec stage that fits TABULATE_RATIO chunks.
 FIRST_CHUNK = 16
 MAX_CHUNK = 4096
 # A request of at most MAX_CHUNK codes tabulates a codec domain of at most
@@ -166,11 +171,11 @@ def codes_at(m: Morphism, idx: Optional[np.ndarray] = None) -> Optional[np.ndarr
     """Codomain batch of `m` at the domain batch `idx` (None: the whole
     codec domain).
 
-    A codec domain that fits TABLE_LIMIT, and TABULATE_RATIO times a
-    request of at most MAX_CHUNK codes, is tabulated once and indexed. Anything else is evaluated at
-    `idx` only: through the builder, or, for a leaf between codec spaces
-    without one, by the closure once per distinct code. None when the
-    builder is missing or would overflow int64.
+    A codec domain that fits TABLE_LIMIT, and TABULATE_RATIO times a request
+    of at most MAX_CHUNK codes, is tabulated once and indexed. Anything else
+    is evaluated at `idx` only: through the builder, or, for a map between
+    codec spaces without one, by the closure once per distinct code. None
+    when the builder is missing or would overflow int64.
     """
     tbl = m.table
     if tbl is None and (idx is None or len(idx) > MAX_CHUNK
@@ -290,6 +295,11 @@ def _refuted(checked: int, x, lhs, rhs, strat: EqualityStrategy, seed) -> Equali
     return EqualityReport(False, checked, counterexample=cx, mode=strat.describe(), seed=seed)
 
 
+def _point(space: Space, x: np.ndarray, k: int):
+    """The element of `space` at row `k` of the batch or real coordinates `x`."""
+    return decode(space, int(x[k])) if x.ndim == 1 else unflatten(space, x[k].tolist())
+
+
 def _code_mismatch(f: Morphism, g: Morphism, x: np.ndarray, strat) -> Optional[np.ndarray]:
     """Where the batches of `f` and `g` at `x` differ (exactly: `strat`'s
     tolerances are for reals); None: no batches."""
@@ -333,79 +343,51 @@ def _column_mismatch(f: Morphism, g: Morphism, x: np.ndarray, strat) -> Optional
     return ~(np.abs(a - b) <= tol).all(axis=1)
 
 
-def _compare_batches(f: Morphism, g: Morphism, strat: EqualityStrategy, count: int, seed):
-    """Compare `f` and `g` on the test set (seed None: the enumeration) as
-    batches, chunk by chunk: (start, report), where a report of None leaves
-    the points from `start` on to the closures."""
-    start, size = 0, FIRST_CHUNK
-    draw = None if seed is None else batch_sampler(f.dom, seed)
-    mismatch = _column_mismatch if real_stage(f.dom) else _code_mismatch
-    while start < count:
-        stop = min(count, start + size)
-        try:  # a window past int64 has no batch
-            x = enum_batch(f.dom, start, stop) if draw is None else draw(stop - start)
-        except OverflowError:
-            return start, None
-        ne = mismatch(f, g, x, strat)
-        if ne is None:
-            return start, None
-        bad = np.flatnonzero(ne)
-        if bad.size:
-            k = int(bad[0])
-            p = decode(f.dom, int(x[k])) if x.ndim == 1 else unflatten(f.dom, x[k].tolist())
-            lhs, rhs = f(p), g(p)
-            if elements_equal(f.cod, lhs, rhs, strat.abs_tol, strat.rel_tol):
-                raise RuntimeError(f"batches and closures of {f!r}, {g!r} disagree at {p!r}")
-            return start, _refuted(start + k + 1, p, lhs, rhs, strat, seed)
-        start, size = stop, MAX_CHUNK
-    return count, EqualityReport(True, count, mode=strat.describe(), seed=seed)
-
-
 def morphisms_equal(f: Morphism, g: Morphism, strat: EqualityStrategy) -> EqualityReport:
-    """Extensional comparison; reports the first counterexample in test order.
-
-    An exhaustive comparison that can tabulate both sides compares the
-    tables. Otherwise sides with tables or builders, and any sides on a real
-    stage, are compared on batches of the test points, and the closures take
-    whatever points the batches leave, in the same order.
-    """
+    """Extensional comparison; reports the first counterexample in test order,
+    with `checked` its index plus one (the test-set size when it passes).
+    A stage without batches (see the module docstring) gives the closures
+    its points from `iter_space`/`sample_space`."""
     if f.dom != g.dom or f.cod != g.cod:
         raise DomainMismatch(f"cannot compare {f!r} with {g!r}")
-    strat = strat.resolve(f.dom)
-    seed = None
+    dom = f.dom
+    strat = strat.resolve(dom)
     if isinstance(strat.mode, Exhaustive):
-        # vectorized path: a codec domain with both tables present
-        n = table_codec_size(f.dom)
-        if n is not None and n <= strat.bound:
-            tf = f.table if f.table is not None else tabulate(f)
-            tg = g.table if g.table is not None else tabulate(g)
-            if tf is not None and tg is not None:
-                diff = np.nonzero(tf != tg)[0]
-                if diff.size == 0:
-                    return EqualityReport(True, n, mode="exhaustive")
-                i = int(diff[0])
-                return _refuted(n, decode(f.dom, i), decode(f.cod, int(tf[i])),
-                                decode(g.cod, int(tg[i])), strat, None)
-        count = space_size(f.dom)
+        count, seed = space_size(dom), None
         if count is None or count > strat.bound:
             raise SizeExceeded(
-                f"exhaustive mode illegal on {format_space(f.dom)} "
+                f"exhaustive mode illegal on {format_space(dom)} "
                 f"(size {count} > bound {strat.bound})"
             )
     else:
         count, seed = strat.mode.count, strat.mode.seed
-
-    start = 0
-    if real_stage(f.dom) or (has_batches(f.dom) and has_batches(f.cod) and all(
-            m.table is not None or m.table_builder is not None for m in (f, g))):
-        start, rep = _compare_batches(f, g, strat, count, seed)
-        if rep is not None:
-            return rep
-    points = iter_space(f.dom) if seed is None else sample_space(f.dom, count, seed)
-    for checked, x in enumerate(itertools.islice(points, start, None), start + 1):
-        a, b = f(x), g(x)
-        if not elements_equal(f.cod, a, b, strat.abs_tol, strat.rel_tol):
-            return _refuted(checked, x, a, b, strat, seed)
+    mismatch = _column_mismatch if real_stage(dom) else (
+        _code_mismatch if has_batches(dom) and has_batches(f.cod) else None)
+    if mismatch is None:
+        points = iter(iter_space(dom) if seed is None else sample_space(dom, count, seed))
+    elif seed is not None:
+        draw = batch_sampler(dom, seed)
+    start, size = 0, MAX_CHUNK if seed is None else FIRST_CHUNK
+    while start < count:
+        stop = min(count, start + size)
+        if mismatch is None:
+            at, ne = list(itertools.islice(points, stop - start)).__getitem__, None
+        else:
+            x = enum_batch(dom, start, stop) if seed is None else draw(stop - start)
+            at, ne = functools.partial(_point, dom, x), mismatch(f, g, x, strat)
+        if ne is None:  # the closures, one point at a time up to the first mismatch
+            k = next((k for k, p in enumerate(map(at, range(stop - start)))
+                      if not elements_equal(f.cod, f(p), g(p), strat.abs_tol, strat.rel_tol)),
+                     None)
+        else:
+            k = next(map(int, np.flatnonzero(ne)), None)
+        if k is not None:
+            p = at(k)
+            lhs, rhs = f(p), g(p)
+            if elements_equal(f.cod, lhs, rhs, strat.abs_tol, strat.rel_tol):
+                raise RuntimeError(f"batches and closures of {f!r}, {g!r} disagree at {p!r}")
+            return _refuted(start + k + 1, p, lhs, rhs, strat, seed)
+        start, size = stop, MAX_CHUNK
     return EqualityReport(True, count, mode=strat.describe(), seed=seed)
 
 

@@ -20,7 +20,7 @@ Element representation is plain Python data keyed by the space shape:
 
 This module is the only one that knows that layout. Each space builds
 its element operations once, on first use (`Space.ops`: zero, add, neg,
-sub, scale, equal, draw, coordinates, the codec, enumeration): closures
+sub, scale, equal, coordinates, the codec, enumeration): closures
 over the children's operations, so a call walks the element, never the
 space. Models reach scalar leaves through `leaves`, `flatten`/`unflatten`
 and `leafwise` only. The coordinates of an element are its scalars in
@@ -153,10 +153,9 @@ class ElementOps(NamedTuple):
 
     Each is a closure over the children's prebuilt operations, so a call walks
     the element and never the space. `scale` takes `(r, a)`, `equal` takes
-    `(a, b, abs_tol, rel_tol)`, `draw` a `random.Random`, and `unflatten`
-    `(coords, pos)`, returning the element and the next position.
-    `elements()` iterates over the `size` elements of the enumeration (size
-    None: not enumerable). `coords` describes each coordinate, in `flatten`
+    `(a, b, abs_tol, rel_tol)`, and `unflatten` `(coords, pos)`, returning
+    the element and the next position. `elements()` iterates over the `size`
+    elements of the enumeration (size None: not enumerable). `coords` describes each coordinate, in `flatten`
     order: `(lo, size, n)` for the window lo .. lo + size - 1 of a Z<n> or
     Int leaf (n = 0 for an Int), None for a real one. An operation the space
     lacks raises when called.
@@ -168,7 +167,6 @@ class ElementOps(NamedTuple):
     sub: Callable
     scale: Callable
     equal: Callable
-    draw: Callable
     flatten: Callable
     unflatten: Callable
     encode: Callable
@@ -200,7 +198,6 @@ def _build_ops(space: Space) -> ElementOps:
             lambda a, b: (a + (-b) % n) % n,
             lambda r, a: (r * a) % n,
             lambda a, b, at, rt: a == b,
-            lambda rng: rng.randrange(n),
             lambda a: [a],
             lambda v, pos: (v[pos] % n, pos + 1),
             lambda a: a % n,
@@ -218,7 +215,6 @@ def _build_ops(space: Space) -> ElementOps:
             lambda a, b: a + (-b),
             operator.mul,
             lambda a, b, at, rt: a == b,
-            lambda rng: rng.randint(lo, hi),
             lambda a: [a],
             lambda v, pos: (v[pos], pos + 1),
             no_codec,
@@ -236,8 +232,6 @@ def _build_ops(space: Space) -> ElementOps:
             lambda a, b: tuple([x + (-y) for x, y in zip(a, b)]),
             lambda r, a: tuple([r * x for x in a]),
             lambda a, b, at, rt: all(_real_close(x, y, at, rt) for x, y in zip(a, b)),
-            lambda rng: tuple([rng.uniform(REAL_SAMPLE_LO, REAL_SAMPLE_HI)
-                               for _ in range(d)]),
             list,
             lambda v, pos: (tuple(v[pos : pos + d]), pos + d),
             no_codec,
@@ -255,7 +249,7 @@ def _build_ops(space: Space) -> ElementOps:
             base, k = space.res, space_size(space.arg)
             if k is None:
                 raise NotEnumerable(f"{format_space(space)} has a non-enumerable argument")
-        z, add, neg, sub, scale, equal, draw, flat, unflat, enc, dec, elems, bs, sc = base.ops
+        z, add, neg, sub, scale, equal, flat, unflat, enc, dec, elems, bs, sc = base.ops
         b = codec_size(base)
 
         def unflatten(v, pos):
@@ -285,7 +279,6 @@ def _build_ops(space: Space) -> ElementOps:
             lambda a, c: tuple(map(sub, a, c)),
             lambda r, a: tuple([scale(r, x) for x in a]),
             lambda a, c, at, rt: all(equal(x, y, at, rt) for x, y in zip(a, c)),
-            lambda rng: tuple([draw(rng) for _ in range(k)]),
             lambda a: [c for x in a for c in flat(x)],
             unflatten,
             no_codec if b is None else encode,
@@ -295,10 +288,10 @@ def _build_ops(space: Space) -> ElementOps:
             sc * k,
         )
     if isinstance(space, Product):
-        (lz, ladd, lneg, lsub, lscale, leq, ldraw, lflat, lunflat, lenc, ldec,
-         lelems, ls, lsc) = space.left.ops
-        (rz, radd, rneg, rsub, rscale, req, rdraw, rflat, runflat, renc, rdec,
-         relems, rs, rsc) = space.right.ops
+        lz, ladd, lneg, lsub, lscale, leq, lflat, lunflat, lenc, ldec, lelems, ls, lsc = \
+            space.left.ops
+        rz, radd, rneg, rsub, rscale, req, rflat, runflat, renc, rdec, relems, rs, rsc = \
+            space.right.ops
         rn = codec_size(space.right)
 
         def unflatten(v, pos):
@@ -313,7 +306,6 @@ def _build_ops(space: Space) -> ElementOps:
             lambda a, b: (lsub(a[0], b[0]), rsub(a[1], b[1])),
             lambda r, a: (lscale(r, a[0]), rscale(r, a[1])),
             lambda a, b, at, rt: leq(a[0], b[0], at, rt) and req(a[1], b[1], at, rt),
-            lambda rng: (ldraw(rng), rdraw(rng)),
             lambda a: lflat(a[0]) + rflat(a[1]),
             unflatten,
             no_codec if rn is None else lambda a: lenc(a[0]) * rn + renc(a[1]),
@@ -330,7 +322,6 @@ def _build_ops(space: Space) -> ElementOps:
             lambda a, b: (),
             lambda r, a: (),
             lambda a, b, at, rt: True,
-            lambda rng: (),
             lambda a: [],
             lambda v, pos: ((), pos),
             lambda a: 0,
@@ -481,15 +472,6 @@ def derive_seed(seed: int, *tags) -> int:
     return int.from_bytes(h[:8], "big")
 
 
-def sample_space(space: Space, count: int, seed: int) -> list:
-    """Deterministic sample of `count` elements (uniform per component)."""
-    if count < 1:
-        raise InvalidArgument("count must be >= 1")
-    rng = random.Random(derive_seed(seed, "sample", format_space(space)))
-    draw = (space._ops or space.ops).draw
-    return [draw(rng) for _ in range(count)]
-
-
 # ---------------------------------------------------------------------------
 # batches: many elements of one space in one int64 array
 #
@@ -515,7 +497,8 @@ class _Layout(NamedTuple):
 @functools.lru_cache(maxsize=1024)
 def _shared_layout(space: Space) -> Optional[_Layout]:
     coords = (space._ops or space.ops).coords
-    if any(c is None or c[0] < -_I64_MAX or c[0] + c[1] - 1 > _I64_MAX for c in coords):
+    if any(c is None or c[0] < -_I64_MAX or c[0] + c[1] - 1 > _I64_MAX or c[1] > _I64_MAX
+           for c in coords):
         return None
     zcols = np.array([k for k, (_, _, n) in enumerate(coords) if n], dtype=np.intp)
     mods = np.array([coords[k][2] for k in zcols], dtype=_I64)
@@ -619,25 +602,46 @@ def enum_batch(space: Space, start: int, stop: int) -> np.ndarray:
     return np.stack(windows, axis=1) + np.array([lo for lo, _, _ in coords], dtype=_I64)
 
 
-def batch_sampler(space: Space, seed: int) -> Callable[[int], np.ndarray]:
-    """`draw(k)`: the next k points of `sample_space(space, count, seed)`.
-    A coordinate is drawn by `randrange(size)`, the generator calls of the
-    element draws `randrange(n)` and `randint(lo, hi)`, less lo; on a real
-    stage by the element draw's `uniform`, into float64 coordinates."""
+def _sampler(space: Space, seed: int) -> Callable[[int], object]:
+    """`draw(k)`: the coordinates of the next k sampled points of `space`, a
+    row per point in `flatten` order; the one place that calls the generator.
+    A Z<n> or Int coordinate is `lo + randrange(size)` (the calls of
+    `randrange(n)` and `randint(lo, hi)`), a real one `uniform(REAL_SAMPLE_LO,
+    REAL_SAMPLE_HI)`. The rows are a float64 array on a real stage, an int64
+    array where the space has batches, and lists otherwise."""
     rng = random.Random(derive_seed(seed, "sample", format_space(space)))
     coords = (space._ops or space.ops).coords
+    below, uniform, width = rng.randrange, rng.uniform, len(coords)
     if real_stage(space):
-        uniform, width = rng.uniform, len(coords)
         return lambda k: np.array([uniform(REAL_SAMPLE_LO, REAL_SAMPLE_HI)
                                    for _ in range(k * width)]).reshape(k, width)
-    below, sizes = rng.randrange, [size for _, size, _ in coords]
-    los = np.array([lo for lo, _, _ in coords], dtype=_I64)
+    if has_batches(space):
+        sizes = [size for _, size, _ in coords]
+        los = np.array([lo for lo, _, _ in coords], dtype=_I64)
+        return lambda k: np.array([below(s) for _ in range(k) for s in sizes],
+                                  dtype=_I64).reshape(k, width) + los
 
-    def draw(k: int) -> np.ndarray:
-        out = np.array([below(s) for _ in range(k) for s in sizes], dtype=_I64)
-        return _from_coords(space, out.reshape(k, len(sizes)) + los)
+    def draw(k: int) -> list:  # mixed real and integer, or past int64
+        return [[uniform(REAL_SAMPLE_LO, REAL_SAMPLE_HI) if c is None else c[0] + below(c[1])
+                 for c in coords] for _ in range(k)]
 
     return draw
+
+
+def sample_space(space: Space, count: int, seed: int) -> list:
+    """Deterministic sample of `count` elements (uniform per coordinate)."""
+    if count < 1:
+        raise InvalidArgument("count must be >= 1")
+    rows = _sampler(space, seed)(count)
+    unflat = (space._ops or space.ops).unflatten
+    return [unflat(r, 0)[0] for r in (rows.tolist() if isinstance(rows, np.ndarray) else rows)]
+
+
+def batch_sampler(space: Space, seed: int) -> Callable[[int], np.ndarray]:
+    """`draw(k)`: the next k points of `sample_space(space, count, seed)` as a
+    batch of a space with batches, or as float64 coordinates of a real stage."""
+    draw = _sampler(space, seed)
+    return draw if real_stage(space) else lambda k: _from_coords(space, draw(k))
 
 
 # ---------------------------------------------------------------------------
@@ -827,9 +831,10 @@ class _SpaceParser:
         start = self.pos
         if self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        digits = self.pos
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
-        if self.pos == start:
+        if self.pos == digits:
             self.error("expected integer")
         return int(self.text[start : self.pos])
 
@@ -872,7 +877,10 @@ class _SpaceParser:
 
 def parse_space(text: str) -> Space:
     p = _SpaceParser(text)
-    s = p.space()
+    try:
+        s = p.space()
+    except RecursionError:
+        p.error("nested too deeply")
     p.skip_ws()
     if p.pos != len(text):
         p.error("trailing input")

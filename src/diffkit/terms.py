@@ -201,7 +201,10 @@ class _TermParser:
 
 def parse_term(text: str) -> Term:
     p = _TermParser(text)
-    t = p.term()
+    try:
+        t = p.term()
+    except RecursionError:
+        p.fail("nested too deeply")
     p.skip_ws()
     if p.pos != len(text):
         p.fail("trailing input")
@@ -482,7 +485,6 @@ def random_term(
     are rejected and regenerated deterministically.
     """
     if value_cap is not None:
-        probes = sample_space(Product(space, space), 12, derive_seed(seed, "term-probes"))
         attempt = 0
         while True:
             t = _random_term_once(model, space, depth, derive_seed(seed, "try", attempt))
@@ -490,9 +492,11 @@ def random_term(
             try:
                 m = interpret(t, model, space)
                 d = model.derivative(m)
+                # `interpret` may type the term on a domain other than `space`
+                probes = sample_space(d.dom, 12, derive_seed(seed, "term-probes"))
                 ok = all(
-                    _values_tame(space, m(p[0]), value_cap)
-                    and _values_tame(space, d(p), value_cap)
+                    _values_tame(m.cod, m(p[0]), value_cap)
+                    and _values_tame(m.cod, d(p), value_cap)
                     for p in probes
                 )
             except OverflowError:

@@ -37,12 +37,12 @@ from diffkit.spaces import (
     coords_batch,
     elements_equal,
     flatten,
+    has_batches,
     iter_space,
     parse_space,
     real_stage,
     sample_space,
     space_size,
-    table_codec_size,
     unflatten,
     zero_elem,
 )
@@ -50,24 +50,20 @@ from diffkit.terms import interpret, print_term, random_term
 
 
 def closure_equal(f, g, strat):
-    """The per-point loop: (passed, checked, counterexample). An exhaustive
-    comparison between codec spaces compares whole tables, and so counts
-    every point even when it refutes."""
+    """The per-point loop: (passed, checked, counterexample), where `checked`
+    is the index of the first mismatch plus one, or the size of the test set
+    when there is none."""
     strat = strat.resolve(f.dom)
     if isinstance(strat.mode, Exhaustive):
         points = list(iter_space(f.dom))
     else:
         points = sample_space(f.dom, strat.mode.count, strat.mode.seed)
-    whole = isinstance(strat.mode, Exhaustive) and table_codec_size(f.dom) is not None \
-        and table_codec_size(f.cod) is not None
-    checked = 0
-    for x in points:
-        checked += 1
+    for checked, x in enumerate(points, 1):
         a, b = f(x), g(x)
         if not elements_equal(f.cod, a, b, strat.abs_tol, strat.rel_tol):
-            return False, len(points) if whole else checked, {
+            return False, checked, {
                 "input": to_jsonable(x), "lhs": to_jsonable(a), "rhs": to_jsonable(b)}
-    return True, checked, None
+    return True, len(points), None
 
 
 def counted(m):
@@ -241,6 +237,8 @@ BIG = [
     ("findiff", "Int[-1000000000000,1000000000000]", Sampled(64, 3)),
     ("module:r=3", "Int[-3000000000000000000,3000000000000000000]", Sampled(64, 5)),
     ("streams:k=3", "Stream(Int[-4000000000,4000000000],3)", Sampled(64, 7)),
+    # a window of more than 2^63 - 1 values has no batches at all
+    ("findiff", "Int[-5000000000000000000,5000000000000000000]", Sampled(64, 9)),
 ]
 
 
@@ -267,6 +265,50 @@ def test_int64_wrap_never_decides(name, lhs_of, rhs_of, want):
     rep = assert_agrees(lhs_of(model, space), rhs_of(model, space),
                         EqualityStrategy(Exhaustive()), batched=False)
     assert not rep.passed and rep.counterexample["lhs"] == want
+
+
+def test_exhaustive_refutation_counts_up_to_the_first_mismatch():
+    # both sides tabulate; sq and dbl agree at 0 and first differ at 1
+    fd, z7 = get_model("findiff"), parse_space("Z7")
+    rep = assert_agrees(fd.primitive("sq", z7), fd.primitive("dbl", z7),
+                        EqualityStrategy(Exhaustive()))
+    assert rep.checked == 2 and rep.counterexample == {"input": 1, "lhs": 1, "rhs": 2}
+
+
+@pytest.mark.parametrize("spec,text", [("findiff", "Z7"), ("streams:k=4", "Stream(Z3,4)")])
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 10**6), data=st.data())
+def test_closure_side_on_an_exhaustive_codec_stage(spec, text, seed, data):
+    # a side with neither table nor builder runs as closure codes
+    model, space = get_model(spec), parse_space(text)
+    (f,) = model.random_subjects(space, 1, seed)
+    lhs = model.derivative(f)
+    strat = EqualityStrategy(Exhaustive())
+    assert assert_agrees(lhs, again(lhs), strat).passed
+    points = list(iter_space(lhs.dom))
+    k = data.draw(st.integers(0, len(points) - 1))
+    rep = assert_agrees(again(lhs), add(lhs, spike(lhs.dom, lhs.cod, points[k])), strat)
+    assert rep.checked == k + 1
+
+
+def closure_spike(dom, cod, at):
+    """A map with no batch form that is nonzero at the element `at` only."""
+    zero = zero_elem(cod)
+    hit = unflatten(cod, [1] * len(flatten(cod, zero)))
+    return Morphism(dom, cod, lambda x: hit if x == at else zero, name="spike")
+
+
+@settings(max_examples=10, deadline=None)
+@given(count=st.integers(1, 300), seed=st.integers(0, 10**6), data=st.data())
+def test_sampled_stage_without_batches(count, seed, data):
+    space = parse_space("((R^1 x Z4) x Stream(Z3,2))")
+    assert not (has_batches(space) or real_stage(space))
+    strat = EqualityStrategy(Sampled(count, seed))
+    assert assert_agrees(identity(space), again(identity(space)), strat).passed
+    points = sample_space(space, count, seed)
+    k = data.draw(st.integers(0, count - 1))
+    rep = assert_agrees(zero_map(space, space), closure_spike(space, space, points[k]), strat)
+    assert rep.checked == 1 + points.index(points[k])
 
 
 # ---------------------------------------------------------------------------

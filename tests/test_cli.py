@@ -96,6 +96,16 @@ def test_bad_input_exits_two(capsys, argv):
         assert "is not a legal streams:k=2 space" in captured.err
 
 
+@pytest.mark.parametrize("space", ["Int[-,3]", "Z-", "R^-", "Stream(Z3,-)", "Z²", "Int[¹,3]"])
+def test_bad_space_syntax_exits_two(capsys, space):
+    # a sign without digits, or a non-ASCII digit, is bad syntax, not a crash
+    assert main(["check", "--model", "findiff", "--space", space]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad space syntax: expected integer")
+    assert "Traceback" not in captured.err
+
+
 def test_replay_determinism(capsys):
     argv = ["check", "--model", "streams:k=4", "--space", "Stream(Z3,4)",
             "--axioms", "CdC0,CdC5,E2", "--subjects", "4", "--seed", "7"]

@@ -145,3 +145,12 @@ def test_rewriter_oracle(tag, space, cap):
 def test_parse_print_round_trip_on_random_terms(seed):
     t = random_term(fd, Z7, depth=4, seed=seed)
     assert parse_term(print_term(t)) == t
+
+
+def test_capped_random_terms_on_a_product_space():
+    # a term may be typed on another domain than the space, such as
+    # (S x S) -> (S x S); its probes are drawn on its own domain
+    sm, space = get_model("smooth"), Product(Real(1), Real(2))
+    for seed in range(12):
+        t = random_term(sm, space, 3, seed, value_cap=1e3)
+        assert parse_term(print_term(t)) == t
