@@ -145,3 +145,9 @@ def test_sample_space(benchmark):
 @pytest.mark.benchmark(group="4096 samples of Stream(Z3,8)")
 def test_batch_sampler(benchmark):
     assert len(benchmark(lambda: batch_sampler(STREAM, 1)(4096))) == 4096
+
+
+@pytest.mark.benchmark(group="4096 samples of R^2")
+def test_batch_sampler_real(benchmark):
+    space = parse_space("R^2")
+    assert benchmark(lambda: batch_sampler(space, 1)(4096)).shape == (4096, 2)

@@ -28,6 +28,7 @@ Z5x4 = parse_space("((Z5 x Z5) x (Z5 x Z5))")
 PAIRS = 390_625
 STREAM = parse_space("Stream(Z3,8)")
 STREAMS2 = parse_space("(Stream(Z3,4) x Stream(Z3,4))")
+STREAM2X8 = parse_space("(Stream(Z3,8) x Stream(Z3,8))")
 INT4 = parse_space("(Int[-9,9] x (Int[-9,9] x (Int[-9,9] x (Int[-9,9] x Int[-9,9]))))")
 
 
@@ -56,6 +57,15 @@ def test_v_add(benchmark):
 def test_v_sub(benchmark):
     i, j = _codes(Z5x4, 1)
     assert len(benchmark(v_sub, Z5x4, i, j)) == PAIRS
+
+
+@pytest.mark.parametrize("space", [STREAM, STREAM2X8],
+                         ids=["Stream(Z3,8)", "(Stream(Z3,8) x Stream(Z3,8))"])
+@pytest.mark.benchmark(group="add on 4096 codes past the whole-table limit")
+def test_v_add_blocks(benchmark, space):
+    rng = np.random.default_rng(4)
+    i, j = rng.integers(0, codec_size(space), (2, 4096))
+    assert len(benchmark(v_add, space, i, j)) == 4096
 
 
 @pytest.mark.parametrize("space", [STREAM, INT4], ids=["Stream(Z3,8)", "4-deep Int product"])

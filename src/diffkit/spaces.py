@@ -37,10 +37,12 @@ Spaces whose carrier is finite and closed under the group operations
 codec, used by the table backend in `morphisms`. A code is a mixed-radix
 number over the CyclicGroup leaves, most significant first (`radices`;
 Terminal has radix 1). `v_add`, `v_sub`, `v_neg` and `v_scale` act on
-each digit modulo its radix: by a gather from a Cayley table built once
-per space (n x n or length n for n codes) while it holds at most
-CAYLEY_LIMIT entries, else by the digit-wise kernel on the codes. On a
-batch of coordinates (see "batches" below) they act column by column.
+each digit modulo its radix, by gathers from Cayley tables (n x n, or
+length n, for n codes) kept by radices, so equal-radix spaces share them:
+one table of all the digits while it holds at most CAYLEY_LIMIT entries,
+else one per block of consecutive digits (a digit too large for a table of
+its own is computed directly). On a batch of coordinates (see "batches"
+below) they act column by column.
 """
 
 from __future__ import annotations
@@ -602,28 +604,55 @@ def enum_batch(space: Space, start: int, stop: int) -> np.ndarray:
     return np.stack(windows, axis=1) + np.array([lo for lo, _, _ in coords], dtype=_I64)
 
 
-def _sampler(space: Space, seed: int) -> Callable[[int], object]:
+def _sampler(space: Space, seed: int) -> Callable[[int], np.ndarray]:
     """`draw(k)`: the coordinates of the next k sampled points of `space`, a
     row per point in `flatten` order; the one place that calls the generator.
     A Z<n> or Int coordinate is `lo + randrange(size)` (the calls of
     `randrange(n)` and `randint(lo, hi)`), a real one `uniform(REAL_SAMPLE_LO,
     REAL_SAMPLE_HI)`. The rows are a float64 array on a real stage, an int64
-    array where the space has batches, and lists otherwise."""
+    array where the space has batches, and an object array otherwise.
+
+    The generator is private, so the values come in bulk from its 32-bit
+    words (`getrandbits(32 * m)` is its next m words), bit-exact: `random()`
+    is `((a >> 5) * 2^26 + (b >> 6)) * 2^-53` from two words, and
+    `randrange(n)` for n < 2^32 is the first `word >> (32 - n.bit_length())`
+    below n. Where all coordinates have one such size they are the accepted
+    values in order, a surplus kept for the next call; mixed sizes, sizes
+    from 2^32 and mixed real and integer stages draw one by one."""
     rng = random.Random(derive_seed(seed, "sample", format_space(space)))
     coords = (space._ops or space.ops).coords
-    below, uniform, width = rng.randrange, rng.uniform, len(coords)
-    if real_stage(space):
-        return lambda k: np.array([uniform(REAL_SAMPLE_LO, REAL_SAMPLE_HI)
-                                   for _ in range(k * width)]).reshape(k, width)
-    if has_batches(space):
-        sizes = [size for _, size, _ in coords]
-        los = np.array([lo for lo, _, _ in coords], dtype=_I64)
-        return lambda k: np.array([below(s) for _ in range(k) for s in sizes],
-                                  dtype=_I64).reshape(k, width) + los
+    width = len(coords)
 
-    def draw(k: int) -> list:  # mixed real and integer, or past int64
-        return [[uniform(REAL_SAMPLE_LO, REAL_SAMPLE_HI) if c is None else c[0] + below(c[1])
-                 for c in coords] for _ in range(k)]
+    def words(m: int) -> np.ndarray:
+        return np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), "<u4")
+
+    if real_stage(space):
+        def uniform(k: int) -> np.ndarray:
+            w = words(2 * k * width)
+            r = ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+            return (REAL_SAMPLE_LO + (REAL_SAMPLE_HI - REAL_SAMPLE_LO) * r).reshape(k, width)
+
+        return uniform
+    sizes = {c and c[1] for c in coords}
+    if has_batches(space) and len(sizes) == 1 and (n := sizes.pop()) < 1 << 32:
+        bits, los = n.bit_length(), np.array([c[0] for c in coords], dtype=_I64)
+        ready = [np.zeros(0, dtype=_I64)]
+
+        def below(k: int) -> np.ndarray:
+            while (need := k * width - sum(map(len, ready))) > 0:
+                w = words((need << bits) // n + 64) >> (32 - bits)  # need / P(accept), + 64
+                ready.append(w[w < n])
+            out = np.concatenate(ready)
+            ready[:] = [out[k * width:]]
+            return out[:k * width].reshape(k, width) + los
+
+        return below
+    below, uniform, dtype = rng.randrange, rng.uniform, _I64 if has_batches(space) else object
+
+    def draw(k: int) -> np.ndarray:
+        rows = [uniform(REAL_SAMPLE_LO, REAL_SAMPLE_HI) if c is None else c[0] + below(c[1])
+                for _ in range(k) for c in coords]
+        return np.array(rows, dtype=dtype).reshape(k, width)
 
     return draw
 
@@ -634,7 +663,7 @@ def sample_space(space: Space, count: int, seed: int) -> list:
         raise InvalidArgument("count must be >= 1")
     rows = _sampler(space, seed)(count)
     unflat = (space._ops or space.ops).unflatten
-    return [unflat(r, 0)[0] for r in (rows.tolist() if isinstance(rows, np.ndarray) else rows)]
+    return [unflat(r, 0)[0] for r in rows.tolist()]
 
 
 def batch_sampler(space: Space, seed: int) -> Callable[[int], np.ndarray]:
@@ -645,12 +674,13 @@ def batch_sampler(space: Space, seed: int) -> Callable[[int], np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# group operations on batches: codes by Cayley-table gathers over a digit-wise
-# kernel, coordinates column by column
+# group operations on batches: codes by gathers from Cayley tables of blocks
+# of digits, coordinates column by column
 
-# Largest Cayley table, in entries: 8 MB of int64. Bigger spaces, such as
-# Stream(Z3,8) for the binary tables, use the digit-wise kernel directly.
+# Largest Cayley table of a whole space, in entries: 8 MB of int64. Past it,
+# a space's digits go in blocks whose tables hold at most BLOCK_LIMIT entries.
 CAYLEY_LIMIT = 1 << 20
+BLOCK_LIMIT = 1 << 14
 
 _BINARY = {"add": np.add, "sub": np.subtract}
 
@@ -671,12 +701,12 @@ def radices(space: Space) -> tuple[int, ...]:
     raise NotEnumerable(f"no integer codec for {space!r}")
 
 
-def _digitwise(space: Space, op, *codes: np.ndarray) -> np.ndarray:
+def _digitwise(rads: tuple[int, ...], op, *codes: np.ndarray) -> np.ndarray:
     """Codes whose every digit is `op` of the operands' digits, mod its radix."""
     rest = list(codes)
     out = np.zeros(np.broadcast_shapes(*(np.shape(c) for c in codes)), dtype=_I64)
     stride = 1
-    for r in reversed(radices(space)):
+    for r in reversed(rads):
         digits = []
         for k, c in enumerate(rest):
             rest[k], d = np.divmod(c, r)
@@ -689,34 +719,64 @@ def _digitwise(space: Space, op, *codes: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=256)
+def _blocks(rads: tuple[int, ...], binary: bool) -> tuple[tuple[tuple[int, ...], bool], ...]:
+    """`(radices, tabled)` of each block of consecutive digits, least significant
+    first: one block while its table fits CAYLEY_LIMIT, else the fewest near-equal
+    runs whose tables fit BLOCK_LIMIT; a lone digit past it is not tabled."""
+    limit = CAYLEY_LIMIT
+    for count in range(1, len(rads) + 1):
+        blocks = [tuple(map(int, b)) for b in np.array_split(rads, count)]
+        fits = [math.prod(b) ** (1 + binary) <= limit for b in blocks]
+        if all(f or len(b) == 1 for b, f in zip(blocks, fits)):
+            return tuple(zip(blocks, fits))[::-1]
+        limit = BLOCK_LIMIT
+
+
 @functools.lru_cache(maxsize=64)
-def _cayley(space: Space, op: str, r: int = 0) -> Optional[np.ndarray]:
-    """Read-only table of an operation on the codes of `space`: n x n for
-    "add" and "sub", length n for "scale" by `r`; None over the limit."""
-    n = math.prod(radices(space))
-    if (n if op == "scale" else n * n) > CAYLEY_LIMIT:
-        return None
-    codes = np.arange(n, dtype=_I64)
+def _table(rads: tuple[int, ...], op: str, r: int = 0) -> np.ndarray:
+    """Read-only Cayley table of an operation on the codes with digit radices
+    `rads`: n x n for "add" and "sub", length n for "scale" by `r`."""
+    codes = np.arange(math.prod(rads), dtype=_I64)
     if op == "scale":
-        table = _digitwise(space, lambda a: r * a, codes)
+        table = _digitwise(rads, lambda a: r * a, codes)
     else:
-        table = _digitwise(space, _BINARY[op], codes[:, None], codes[None, :])
+        table = _digitwise(rads, _BINARY[op], codes[:, None], codes[None, :])
     table.setflags(write=False)
     return table
+
+
+def _gather(space: Space, op: str, r: int, *codes: np.ndarray) -> np.ndarray:
+    """`op` on the codes of `space` ("scale" by `r`), each digit mod its
+    radix: a gather from the table of each block of digits (`_blocks`)."""
+    blocks = _blocks(radices(space), op != "scale")
+    rest, stride = codes, 1
+    for k, (rads, tabled) in enumerate(blocks):
+        n, digits = math.prod(rads), rest
+        if k + 1 < len(blocks):  # peel this block's digits off the operands
+            rest, digits = zip(*(np.divmod(c, n) for c in rest))
+        if tabled:
+            # gather into the fresh flat-index array: a new array costs page
+            # faults that take longer than the gather; "wrap" is unbuffered
+            t = np.multiply(digits[0], n ** (len(digits) - 1), dtype=_I64)
+            if len(digits) == 2:
+                t += digits[1]
+            t = _table(rads, op, r).take(t, out=t, mode="wrap")
+        else:
+            t = _BINARY[op](*digits) if op in _BINARY else r * digits[0]
+            t %= n
+        if k:
+            t *= stride
+            t += out
+        out, stride = t, stride * n
+    return out
 
 
 def _binary(space: Space, op: str, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     if not _layout(space).codec:
         int64_guard(magnitude(i) + magnitude(j))
         return coords_batch(space, _BINARY[op](i, j))
-    table = _cayley(space, op)
-    if table is None:
-        return _digitwise(space, _BINARY[op], i, j)
-    # gather into the fresh flat-index array: a new result array costs page
-    # faults that take longer than the gather; "wrap" writes it unbuffered
-    k = np.multiply(i, table.shape[1], dtype=_I64)
-    k += j
-    return table.take(k, out=k, mode="wrap")
+    return _gather(space, op, 0, i, j)
 
 
 def v_add(space: Space, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -731,9 +791,8 @@ def v_scale(space: Space, r: int, i: np.ndarray) -> np.ndarray:
     if not _layout(space).codec:
         int64_guard(abs(r) * magnitude(i))
         return coords_batch(space, r * i)
-    int64_guard(abs(r) * max(radices(space)))  # the digit-wise kernel's r * digit
-    table = _cayley(space, "scale", r)
-    return _digitwise(space, lambda a: r * a, i) if table is None else table.take(i)
+    int64_guard(abs(r) * max(radices(space)))  # r * digit, in a table or directly
+    return _gather(space, "scale", r, i)
 
 
 def v_neg(space: Space, i: np.ndarray) -> np.ndarray:

@@ -10,13 +10,17 @@ and the counterexample, for the same points in the same order.
 """
 
 import math
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffkit import cli, monad
+from diffkit import cli, monad, spaces
 from diffkit.kernel import BaseCat, add, axiom_sides, compose, identity, projection, zero_map
 from diffkit.models import get_model
 from diffkit.morphisms import (
@@ -32,11 +36,15 @@ from diffkit.morphisms import (
     to_jsonable,
 )
 from diffkit.spaces import (
+    REAL_SAMPLE_HI,
+    REAL_SAMPLE_LO,
     batch_coords,
     batch_sampler,
     coords_batch,
+    derive_seed,
     elements_equal,
     flatten,
+    format_space,
     has_batches,
     iter_space,
     parse_space,
@@ -473,3 +481,50 @@ def test_closures_not_generic_over_arrays_give_the_closure_report(rhs):
     rep = assert_agrees(f, sm.primitive(rhs, R1), EqualityStrategy(Sampled(64, 2)),
                         batched=False)
     assert rep.passed == (rhs == "sin")
+
+
+# ---------------------------------------------------------------------------
+# the sampler: values made in bulk from the generator's 32-bit words, against
+# the generator's own calls, one per coordinate
+
+SAMPLER_SPACES = ["Z1", "Z2", "Z4", "Z8", "(Stream(Z3,8) x (Stream(Z3,8) x Stream(Z3,8)))",
+                  "Int[-100,100]", "Int[0,4294967294]", "Int[0,4294967295]", "(Z4 x Z6)",
+                  "R^2", "((R^1 x R^2) x R^1)", "((R^1 x Z4) x Stream(Z3,2))"]
+
+
+def reference_rows(space, seed, count):
+    """`lo + randrange(size)` or `uniform(lo, hi)` per coordinate, in order."""
+    rng = random.Random(derive_seed(seed, "sample", format_space(space)))
+    return [[rng.uniform(REAL_SAMPLE_LO, REAL_SAMPLE_HI) if c is None
+             else c[0] + rng.randrange(c[1]) for c in space.ops.coords]
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("chunks", [(1, 1, 1), (16, 240), (16, 4096, 100)],
+                         ids=lambda c: "+".join(map(str, c)))
+@pytest.mark.parametrize("text", SAMPLER_SPACES)
+def test_sampler_draws_the_generators_values(text, chunks):
+    space = parse_space(text)
+    for seed in range(20):
+        want = reference_rows(space, seed, sum(chunks))
+        draw = spaces._sampler(space, seed)
+        rows = [r for k in chunks for r in draw(k).tolist()]
+        assert repr(rows) == repr(want), seed
+        if has_batches(space) or real_stage(space):
+            draw = batch_sampler(space, seed)
+            batches = [draw(k) for k in chunks]
+            if not real_stage(space):
+                batches = [batch_coords(space, b) for b in batches]
+            assert repr([r for b in batches for r in b.tolist()]) == repr(want), seed
+
+
+def test_sampled_check_leaves_numpy_random_unimported():
+    # numpy.random costs every process its import time and memory
+    code = ("import sys; from diffkit.cli import main; "
+            "code = main(['check', '--model', 'streams:k=8', '--space', 'Stream(Z3,8)', "
+            "'--subjects', '1', '--axioms', 'CdC0', '--seed', '1']); "
+            "assert code == 0 and 'numpy.random' not in sys.modules, code")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env={"PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr

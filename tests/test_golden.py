@@ -66,6 +66,10 @@ CASES = {
     "refute-smooth-R2": _check("smooth", "R^2", "--axioms", "Linearity"),
     "refute-streams8-Z3": _check("streams:k=8", "Stream(Z3,8)", *REFUTE,
                                  "--subjects", "6"),
+    # sampled draws of one power-of-two size, and of mixed sizes in a row
+    "check-findiff-Z8-3": _check("findiff", "Z8", "--subjects", "3", "--bound", "100"),
+    "check-streams3-Z4-2": _check("streams:k=3", "Stream(Z4,3)", "--subjects", "2"),
+    "check-module-Z4xZ6-2": _check("module:r=2", "(Z4 x Z6)", "--subjects", "2"),
     # README examples
     "eval-findiff-d-sq": ("eval", "--model", "findiff", "--term", "(d (prim sq))",
                           "--at", "(3,2)"),

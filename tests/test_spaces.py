@@ -155,10 +155,15 @@ def test_space_syntax_rejects_garbage():
 
 
 # Codec spaces on both sides of CAYLEY_LIMIT; (Z2 x (Z3 x Z5)) has distinct
-# radices, so a digit order mixed up anywhere shows there.
+# radices, so a digit order mixed up anywhere shows there. Past the limit the
+# digits go in blocks: Stream(Z3,8) in 2 of 4 digits, with one Z3 more in 3
+# of 3, (Stream(Z3,8) x Stream(Z3,8)) in 4, the 8 Z5 digits in 3 unequal
+# ones, and the Z2000 digit of (Z2000 x Z3) has no table.
 _TABLED = ["Z1", "Z7", "(Z5 x Z5)", "((Z5 x Z5) x (Z5 x Z5))", "(1 x Z4)",
            "Stream(Z3,4)", "(Z2 x (Z3 x Z5))"]
-_OVER_LIMIT = ["Stream(Z3,8)", "(Stream(Z3,4) x Stream(Z3,4))"]
+_OVER_LIMIT = ["Stream(Z3,8)", "(Stream(Z3,4) x Stream(Z3,4))", "(Stream(Z3,8) x Z3)",
+               "(Stream(Z3,8) x Stream(Z3,8))",
+               "((Z5 x Z5) x ((Z5 x Z5) x ((Z5 x Z5) x (Z5 x Z5))))", "(Z2000 x Z3)"]
 _CODEC_SPACES = [parse_space(t) for t in _TABLED + _OVER_LIMIT] + [FunctionSpace(Z2, Z3)]
 
 
@@ -168,16 +173,22 @@ def test_cayley_limit_splits_the_differential_spaces():
 
 
 def test_cayley_over_the_limit_allocates_nothing():
-    # 3^16 codes: refusing the tables must not build the codes first (344 MB)
+    # 3^16 codes: refusing the whole tables must not build the codes first
+    # (344 MB); the tables of its blocks are all that is built
     space = parse_space("(Stream(Z3,8) x Stream(Z3,8))")
     tracemalloc.start()
     try:
-        assert spaces._cayley.__wrapped__(space, "add") is None
-        assert spaces._cayley.__wrapped__(space, "scale", 2) is None
+        for op, binary in [("add", True), ("scale", False)]:
+            blocks = spaces._blocks.__wrapped__(spaces.radices(space), binary)
+            assert len(blocks) > 1 and all(tabled for _, tabled in blocks)
+            for rads, _ in blocks:
+                assert spaces._table.__wrapped__(rads, op, 2).size <= spaces.BLOCK_LIMIT
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+    assert spaces._blocks(spaces.radices(parse_space("(Z2000 x Z3)")), True) == \
+        (((3,), True), ((2000,), False))
 
 
 @pytest.mark.parametrize("space", _CODEC_SPACES, ids=format_space)
