@@ -117,7 +117,6 @@ from .terms import (
     print_term,
     random_term,
     symbolic_derive,
-    typecheck,
 )
 
 __version__ = "0.1.0"

@@ -161,18 +161,25 @@ def parse_point(text: str):
     return v
 
 
+def _number(space: Space, raw):
+    if isinstance(raw, tuple):
+        raise DiffkitError(f"expected a number for {format_space(space)}, got {raw}")
+    return raw
+
+
 def coerce_point(space: Space, raw):
     """Fit a parsed point onto the element shape of a space."""
-    if isinstance(space, CyclicGroup):
-        return int(raw) % space.n
-    if isinstance(space, BoundedInt):
-        return int(raw)
+    if isinstance(space, (CyclicGroup, BoundedInt)):
+        v = _number(space, raw)
+        if v != int(v):
+            raise DiffkitError(f"expected an integer for {format_space(space)}, got {v}")
+        return int(v) % space.n if isinstance(space, CyclicGroup) else int(v)
     if isinstance(space, Real):
         if isinstance(raw, (int, float)):
             raw = (raw,)
         if len(raw) != space.dim:
             raise DiffkitError(f"expected {space.dim} coordinates")
-        return tuple(float(v) for v in raw)
+        return tuple(float(_number(space, v)) for v in raw)
     if isinstance(space, Product):
         if not isinstance(raw, tuple) or len(raw) != 2:
             raise DiffkitError(f"expected a pair for {format_space(space)}")

@@ -428,17 +428,16 @@ def sides_cdc2_additivity(cat, f):
     ]
 
 
-def sides_cdc3(cat, a, b=None):
-    b = a if b is None else b
-    p = cat.obj_product(a, b)
+def sides_cdc3(cat, a):
+    p = cat.obj_product(a, a)
     p1 = cat.proj(1, p, p)
     return [
         ("d[1] = pi1",
          _d(cat, cat.identity(a)), cat.proj(1, a, a)),
         ("d[pi0] = pi0.pi1",
-         _d(cat, cat.proj(0, a, b)), cat.compose(cat.proj(0, a, b), p1)),
+         _d(cat, cat.proj(0, a, a)), cat.compose(cat.proj(0, a, a), p1)),
         ("d[pi1] = pi1.pi1",
-         _d(cat, cat.proj(1, a, b)), cat.compose(cat.proj(1, a, b), p1)),
+         _d(cat, cat.proj(1, a, a)), cat.compose(cat.proj(1, a, a), p1)),
     ]
 
 

@@ -49,9 +49,9 @@ from .spaces import (
 )
 
 
-def _require_finite(space: Space, what: str, bound: int = DEFAULT_ENUM_BOUND):
+def _require_finite(space: Space, what: str):
     n = codec_size(space)
-    if n is None or n > bound:
+    if n is None or n > DEFAULT_ENUM_BOUND:
         raise NotFinite(f"{what} needs a finite space, got {format_space(space)}")
     return n
 

@@ -131,10 +131,10 @@ def causality_check(f: Morphism, strat: EqualityStrategy = DEFAULT_STRATEGY) -> 
 
 
 class StreamModel(DifferenceModel):
-    def __init__(self, k: int = 16, base: Space | None = None):
+    def __init__(self, k: int = 16):
         super().__init__()
         self.k = k
-        self.base = base if base is not None else BoundedInt(-100, 100)
+        self.base = BoundedInt(-100, 100)
         self.tag = f"streams:k={k}"
         self.register_primitive("psq", self._pointwise("psq", lambda v: v * v))
         self.register_primitive("pdbl", self._pointwise("pdbl", lambda v: 2 * v))

@@ -20,7 +20,7 @@ A taken as base maps into T(A).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import DiffkitError, DomainMismatch
 from .kernel import (
@@ -323,12 +323,7 @@ class KleisliCat:
         return Product(a, b)
 
     def generic_points(self, objs: Sequence[Space]):
-        base_objs = [T_space(o) for o in objs]
-        stage = base_objs[-1]
-        for o in reversed(base_objs[:-1]):
-            stage = Product(o, stage)
-        cat = BaseCat(self.model)
-        _, chains = cat.generic_points(base_objs)
+        stage, chains = BaseCat(self.model).generic_points([T_space(o) for o in objs])
         points = [kleisli_from_base(chain, o) for chain, o in zip(chains, objs)]
         return stage, points
 
@@ -360,20 +355,17 @@ def check_kleisli_cdc(
     strat: EqualityStrategy = DEFAULT_STRATEGY,
     subjects: int = 8,
     seed: int = 0,
-    include_additivity: Optional[bool] = None,
     oracle_strat: EqualityStrategy = DEFAULT_ORACLE,
 ) -> list[LawReport]:
     """The full coherence suite, run inside the Kleisli category.
 
     When the base infinitesimal extension is zero (the smooth model),
     the Kleisli derivative is additive in its second argument as well,
-    so CDC2-additivity is appended there by default.
+    so CDC2-additivity is appended there.
     """
     cat = KleisliCat(model, oracle_strat)
     subs = random_kleisli_subjects(model, a, subjects, seed)
-    if include_additivity is None:
-        include_additivity = model.tag == "smooth"
-    axioms = list(_KLEISLI_AXIOMS) + (["CDC2-additivity"] if include_additivity else [])
+    axioms = list(_KLEISLI_AXIOMS) + (["CDC2-additivity"] if model.tag == "smooth" else [])
     reports = (pool_report(subs, lambda f, g: check_axiom(model, ax, [f, g], strat, cat=cat),
                            "random kleisli subjects") for ax in axioms)
     return [r for r in reports if r is not None]

@@ -138,7 +138,7 @@ def _closure_codes(m: Morphism, codes) -> np.ndarray:
                        dtype=np.int64, count=len(codes))
 
 
-def tabulate(m: Morphism, limit: int = TABLE_LIMIT) -> Optional[np.ndarray]:
+def tabulate(m: Morphism) -> Optional[np.ndarray]:
     """Force (and cache) the index table of `m`, if feasible.
 
     The builder is preferred and dropped once the table is cached, which
@@ -148,7 +148,7 @@ def tabulate(m: Morphism, limit: int = TABLE_LIMIT) -> Optional[np.ndarray]:
     if m.table is not None:
         return m.table
     n = table_codec_size(m.dom)
-    if n is None or n > limit or table_codec_size(m.cod) is None:
+    if n is None or n > TABLE_LIMIT or table_codec_size(m.cod) is None:
         return None
     if m.table_builder is not None:
         builder, m.table_builder = m.table_builder, None
@@ -439,15 +439,14 @@ def report_from_equalities(
     """Fold (label, lhs, rhs) morphism pairs into one LawReport, recording
     the strategy's seed."""
     if equal_fn is None:
+        # looked up per call, not bound as the default, so a tracer that
+        # rebinds `morphisms_equal` in this module sees these comparisons
         equal_fn = morphisms_equal
     checked = 0
     violations = 0
     counterexample = None
     for label, lhs, rhs in pairs:
-        s = strat
-        if isinstance(strat.mode, (Sampled, Auto)):
-            s = strat.with_seed(derive_seed(strat.mode.seed, axiom, label))
-        rep = equal_fn(lhs, rhs, s)
+        rep = equal_fn(lhs, rhs, strat.with_seed(derive_seed(strat.seed, axiom, label)))
         checked += rep.checked
         if not rep.passed:
             violations += 1

@@ -687,18 +687,13 @@ _BINARY = {"add": np.add, "sub": np.subtract}
 
 @functools.lru_cache(maxsize=1024)
 def radices(space: Space) -> tuple[int, ...]:
-    """Digit radices of the codes of a codec space, most significant first."""
-    if isinstance(space, CyclicGroup):
-        return (space.n,)
-    if isinstance(space, Terminal):
-        return (1,)
-    if isinstance(space, Product):
-        return radices(space.left) + radices(space.right)
-    if isinstance(space, StreamPrefix):
-        return radices(space.base) * space.length
-    if isinstance(space, FunctionSpace) and codec_size(space.arg) is not None:
-        return radices(space.res) * codec_size(space.arg)
-    raise NotEnumerable(f"no integer codec for {space!r}")
+    """Digit radices of the codes of a codec space, most significant first:
+    the moduli of its coordinates, all of which are Z<n> ones; (1,) if it
+    has none."""
+    coords = (space._ops or space.ops).coords
+    if not all(c and c[2] for c in coords):
+        raise NotEnumerable(f"no integer codec for {space!r}")
+    return tuple(c[2] for c in coords) or (1,)
 
 
 def _digitwise(rads: tuple[int, ...], op, *codes: np.ndarray) -> np.ndarray:

@@ -6,7 +6,11 @@ Grammar:
           | (comp term term) | (pair term term) | (add term term)
           | (eps term) | (d term) | (prim NAME)
 
-Terms are typechecked by unification against a model's ambient space
+A term is its own syntax tree: an atom is its name (`"id"`), a primitive
+is `("prim", NAME)`, and an operator node is `(op, *subterms)` in surface
+order (`("comp", g, f)`). `ARITY` is what the printer and the parser read.
+
+Terms are typed by unification against a model's ambient space
 (primitives are endomaps of a concrete space; `id`, `zero`, `one` and
 the projections are polymorphic). `symbolic_derive` rewrites an outer
 derivative down to the leaves using the sum, pairing, projection and
@@ -20,7 +24,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from .errors import TermSyntaxError, TermTypeError
 from .kernel import (
@@ -36,70 +40,17 @@ from .kernel import (
 from .morphisms import Morphism
 from .spaces import (
     Product,
-    Real,
     Space,
     TERMINAL,
     derive_seed,
+    flatten,
     sample_space,
 )
 
+Term = Union[str, tuple]
 
-@dataclass(frozen=True)
-class Term:
-    pass
-
-
-@dataclass(frozen=True)
-class TId(Term):
-    pass
-
-
-@dataclass(frozen=True)
-class TProj(Term):
-    index: int
-
-
-@dataclass(frozen=True)
-class TZero(Term):
-    pass
-
-
-@dataclass(frozen=True)
-class TOne(Term):
-    pass
-
-
-@dataclass(frozen=True)
-class TComp(Term):
-    g: Term
-    f: Term
-
-
-@dataclass(frozen=True)
-class TPair(Term):
-    f: Term
-    g: Term
-
-
-@dataclass(frozen=True)
-class TAdd(Term):
-    f: Term
-    g: Term
-
-
-@dataclass(frozen=True)
-class TEps(Term):
-    f: Term
-
-
-@dataclass(frozen=True)
-class TD(Term):
-    f: Term
-
-
-@dataclass(frozen=True)
-class TPrim(Term):
-    name: str
+ATOMS = ("id", "pi0", "pi1", "zero", "one")
+ARITY = {"comp": 2, "pair": 2, "add": 2, "eps": 1, "d": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -107,27 +58,9 @@ class TPrim(Term):
 
 
 def print_term(t: Term) -> str:
-    if isinstance(t, TId):
-        return "id"
-    if isinstance(t, TProj):
-        return f"pi{t.index}"
-    if isinstance(t, TZero):
-        return "zero"
-    if isinstance(t, TOne):
-        return "one"
-    if isinstance(t, TComp):
-        return f"(comp {print_term(t.g)} {print_term(t.f)})"
-    if isinstance(t, TPair):
-        return f"(pair {print_term(t.f)} {print_term(t.g)})"
-    if isinstance(t, TAdd):
-        return f"(add {print_term(t.f)} {print_term(t.g)})"
-    if isinstance(t, TEps):
-        return f"(eps {print_term(t.f)})"
-    if isinstance(t, TD):
-        return f"(d {print_term(t.f)})"
-    if isinstance(t, TPrim):
-        return f"(prim {t.name})"
-    raise TypeError(t)
+    if isinstance(t, str):
+        return t
+    return "(" + " ".join([t[0], *map(print_term, t[1:])]) + ")"
 
 
 class _TermParser:
@@ -157,46 +90,24 @@ class _TermParser:
         self.skip_ws()
         if self.pos >= len(self.text):
             self.fail("unexpected end of input")
-        if self.text[self.pos] == "(":
-            self.pos += 1
+        if self.text[self.pos] != "(":
             head = self.word()
-            if head == "comp":
-                g = self.term()
-                f = self.term()
-                out: Term = TComp(g, f)
-            elif head == "pair":
-                f = self.term()
-                g = self.term()
-                out = TPair(f, g)
-            elif head == "add":
-                f = self.term()
-                g = self.term()
-                out = TAdd(f, g)
-            elif head == "eps":
-                out = TEps(self.term())
-            elif head == "d":
-                out = TD(self.term())
-            elif head == "prim":
-                out = TPrim(self.word())
-            else:
-                self.fail(f"unknown operator {head!r}")
-            self.skip_ws()
-            if self.pos >= len(self.text) or self.text[self.pos] != ")":
-                self.fail("expected ')'")
-            self.pos += 1
-            return out
+            if head not in ATOMS:
+                self.fail(f"unknown atom {head!r}")
+            return head
+        self.pos += 1
         head = self.word()
-        if head == "id":
-            return TId()
-        if head == "pi0":
-            return TProj(0)
-        if head == "pi1":
-            return TProj(1)
-        if head == "zero":
-            return TZero()
-        if head == "one":
-            return TOne()
-        self.fail(f"unknown atom {head!r}")
+        if head == "prim":
+            out = (head, self.word())
+        elif head in ARITY:
+            out = (head, *[self.term() for _ in range(ARITY[head])])
+        else:
+            self.fail(f"unknown operator {head!r}")
+        self.skip_ws()
+        if self.pos >= len(self.text) or self.text[self.pos] != ")":
+            self.fail("expected ')'")
+        self.pos += 1
+        return out
 
 
 def parse_term(text: str) -> Term:
@@ -212,7 +123,7 @@ def parse_term(text: str) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# typechecking by unification
+# typing by unification, then one pass from the typed tree to a morphism
 
 
 @dataclass(frozen=True)
@@ -224,181 +135,104 @@ class _Subst:
     def __init__(self):
         self.next_id = 0
         self.bind: dict[int, object] = {}
+        self.prims: list = []  # (name, dom, path) of each primitive, left to right
+        self.cycle = None  # path of the first binding of an unknown inside itself
 
     def fresh(self) -> _SVar:
         self.next_id += 1
         return _SVar(self.next_id)
+
+    def product(self, left, right) -> Product:
+        """A product of unknowns bound to `left` and `right`; only such a
+        product has `_SVar` parts, which is how `unify` tells it from a space."""
+        lv, rv = self.fresh(), self.fresh()
+        self.bind[lv.id], self.bind[rv.id] = left, right
+        return Product(lv, rv)
 
     def find(self, t):
         while isinstance(t, _SVar) and t.id in self.bind:
             t = self.bind[t.id]
         return t
 
+    def occurs(self, v: _SVar, t) -> bool:
+        t = self.find(t)
+        if isinstance(t, Product):
+            return self.occurs(v, t.left) or self.occurs(v, t.right)
+        return t == v
+
     def unify(self, a, b, path):
         a, b = self.find(a), self.find(b)
-        if isinstance(a, _SVar):
-            if a != b:
-                self.bind[a.id] = b
-            return
-        if isinstance(b, _SVar):
-            self.bind[b.id] = a
+        if isinstance(a, _SVar) or isinstance(b, _SVar):
+            v, t = (a, b) if isinstance(a, _SVar) else (b, a)
+            if v != t:
+                if self.cycle is None and self.occurs(v, t):
+                    self.cycle = path
+                self.bind[v.id] = t
             return
         if isinstance(a, Product) and isinstance(b, Product):
             self.unify(a.left, b.left, path)
             self.unify(a.right, b.right, path)
             return
-        if isinstance(a, _PairOf) or isinstance(b, _PairOf):
-            pa = a if isinstance(a, _PairOf) else b
-            other = b if isinstance(a, _PairOf) else a
-            if isinstance(other, Product):
-                self.unify(pa.left, other.left, path)
-                self.unify(pa.right, other.right, path)
-                return
-            if isinstance(other, _PairOf):
-                self.unify(pa.left, other.left, path)
-                self.unify(pa.right, other.right, path)
-                return
-            raise TermTypeError(f"expected a product space, got {other}", path)
+        for p, other in ((a, b), (b, a)):
+            if isinstance(p, Product) and isinstance(p.left, _SVar):
+                raise TermTypeError(f"expected a product space, got {other}", path)
         if a != b:
             raise TermTypeError(f"cannot unify {a} with {b}", path)
 
-    def resolve(self, t, path):
+    def resolve(self, t) -> Space:
         t = self.find(t)
-        if isinstance(t, _SVar):
-            raise TermTypeError("ambiguous space; supply --space", path)
-        if isinstance(t, _PairOf):
-            return Product(self.resolve(t.left, path), self.resolve(t.right, path))
         if isinstance(t, Product):
-            return Product(self.resolve(t.left, path), self.resolve(t.right, path))
+            return Product(self.resolve(t.left), self.resolve(t.right))
         return t
 
 
-@dataclass(frozen=True)
-class _PairOf:
-    """A product whose components are still unification variables."""
-
-    left: object
-    right: object
-
-
-@dataclass
-class TypedTerm:
-    term: Term
-    dom: Space
-    cod: Space
-    children: list
-
-
-def _infer(t: Term, model: DifferenceModel, subst: _Subst, path):
-    if isinstance(t, TId):
-        a = subst.fresh()
-        return (t, a, a, [])
-    if isinstance(t, TProj):
-        l, r = subst.fresh(), subst.fresh()
-        return (t, _PairOf(l, r), l if t.index == 0 else r, [])
-    if isinstance(t, TZero):
-        return (t, subst.fresh(), subst.fresh(), [])
-    if isinstance(t, TOne):
-        return (t, subst.fresh(), TERMINAL, [])
-    if isinstance(t, TPrim):
-        a = subst.fresh()
-        return (t, a, a, [])
-    if isinstance(t, TComp):
-        g = _infer(t.g, model, subst, path + (0,))
-        f = _infer(t.f, model, subst, path + (1,))
-        subst.unify(f[2], g[1], path)
-        return (t, f[1], g[2], [g, f])
-    if isinstance(t, TPair):
-        f = _infer(t.f, model, subst, path + (0,))
-        g = _infer(t.g, model, subst, path + (1,))
-        subst.unify(f[1], g[1], path)
-        return (t, f[1], _PairOf(f[2], g[2]), [f, g])
-    if isinstance(t, TAdd):
-        f = _infer(t.f, model, subst, path + (0,))
-        g = _infer(t.g, model, subst, path + (1,))
-        subst.unify(f[1], g[1], path)
-        subst.unify(f[2], g[2], path)
-        return (t, f[1], f[2], [f, g])
-    if isinstance(t, TEps):
-        f = _infer(t.f, model, subst, path + (0,))
-        return (t, f[1], f[2], [f])
-    if isinstance(t, TD):
-        f = _infer(t.f, model, subst, path + (0,))
-        return (t, _PairOf(f[1], f[1]), f[2], [f])
-    raise TermTypeError(f"unknown node {t!r}", path)
+def _infer(t: Term, s: _Subst, path) -> tuple:
+    """`(t, dom, cod, children)`, spaces still unknowns: one rule per node kind."""
+    if t in ("pi0", "pi1"):
+        lv, rv = s.fresh(), s.fresh()
+        return (t, Product(lv, rv), rv if t == "pi1" else lv, ())
+    if isinstance(t, str):
+        a = s.fresh()
+        return (t, a, a if t == "id" else TERMINAL if t == "one" else s.fresh(), ())
+    if t[0] == "prim":
+        a = s.fresh()
+        s.prims.append((t[1], a, path))
+        return (t, a, a, ())
+    op = t[0]
+    kids = [_infer(k, s, path + (i,)) for i, k in enumerate(t[1:])]
+    d0, c0 = kids[0][1:3]
+    if op == "eps":
+        return (t, d0, c0, kids)
+    if op == "d":
+        return (t, s.product(d0, d0), c0, kids)
+    d1, c1 = kids[1][1:3]
+    if op == "comp":
+        s.unify(c1, d0, path)
+        return (t, d1, c0, kids)
+    s.unify(d0, d1, path)
+    if op == "pair":
+        return (t, d0, s.product(c0, c1), kids)
+    s.unify(c0, c1, path)
+    return (t, d0, c0, kids)
 
 
-def _resolve_tree(node, subst: _Subst, model: DifferenceModel, path) -> TypedTerm:
-    t, dom, cod, children = node
-    rdom = subst.resolve(dom, path)
-    rcod = subst.resolve(cod, path)
-    if isinstance(t, TPrim):
-        try:
-            model.primitive(t.name, rdom)
-        except Exception as exc:
-            raise TermTypeError(f"primitive {t.name!r} not available: {exc}", path)
-    return TypedTerm(
-        t, rdom, rcod,
-        [_resolve_tree(c, subst, model, path + (i,)) for i, c in enumerate(children)],
-    )
-
-
-def typecheck(
-    t: Term,
-    model: DifferenceModel,
-    space: Optional[Space] = None,
-    dom: Optional[Space] = None,
-) -> TypedTerm:
-    """Resolve every node's (dom, cod).
-
-    `dom` pins the whole root domain; `space` seeds its leftmost free
-    leaf (derivative nodes double the domain themselves, so the hint
-    names the base space). Leaves still free afterwards default to the
-    hint or the model's ambient space.
-    """
-    subst = _Subst()
-    tree = _infer(t, model, subst, ())
-    if dom is not None:
-        subst.unify(tree[1], dom, ())
-    if space is not None:
-        target = subst.find(tree[1])
-        while isinstance(target, (_PairOf, Product)):
-            target = subst.find(target.left)
-        if isinstance(target, _SVar):
-            subst.unify(target, space, ())
-    for vid in range(1, subst.next_id + 1):
-        v = subst.find(_SVar(vid))
-        if isinstance(v, _SVar):
-            subst.bind[v.id] = space if space is not None else model.default_space
-    return _resolve_tree(tree, subst, model, ())
-
-
-def interpret_typed(tt: TypedTerm, model: DifferenceModel) -> Morphism:
-    t = tt.term
-    if isinstance(t, TId):
-        return identity(tt.dom)
-    if isinstance(t, TProj):
-        return projection(t.index, tt.dom.left, tt.dom.right)
-    if isinstance(t, TZero):
-        return zero_map(tt.dom, tt.cod)
-    if isinstance(t, TOne):
-        return terminal_map(tt.dom)
-    if isinstance(t, TPrim):
-        return model.primitive(t.name, tt.dom)
-    if isinstance(t, TComp):
-        return compose(interpret_typed(tt.children[0], model),
-                       interpret_typed(tt.children[1], model))
-    if isinstance(t, TPair):
-        return pair(interpret_typed(tt.children[0], model),
-                    interpret_typed(tt.children[1], model))
-    if isinstance(t, TAdd):
-        return add(interpret_typed(tt.children[0], model),
-                   interpret_typed(tt.children[1], model))
-    if isinstance(t, TEps):
-        return model.epsilon(interpret_typed(tt.children[0], model))
-    if isinstance(t, TD):
-        return model.derivative(interpret_typed(tt.children[0], model))
-    raise TermTypeError(f"unknown node {t!r}", ())
+def _build(node, s: _Subst, model: DifferenceModel) -> Morphism:
+    """The morphism of an inferred node, once every unknown is bound."""
+    t, dom, cod, kids = node
+    if isinstance(t, str) or t[0] == "prim":
+        dom = s.resolve(dom)
+        if t == "id":
+            return identity(dom)
+        if t in ("pi0", "pi1"):
+            return projection(int(t[2]), dom.left, dom.right)
+        if t == "zero":
+            return zero_map(dom, s.resolve(cod))
+        if t == "one":
+            return terminal_map(dom)
+        return model.primitive(t[1], dom)
+    op = {"comp": compose, "pair": pair, "add": add,
+          "eps": model.epsilon, "d": model.derivative}[t[0]]
+    return op(*[_build(k, s, model) for k in kids])
 
 
 def interpret(
@@ -407,7 +241,44 @@ def interpret(
     space: Optional[Space] = None,
     dom: Optional[Space] = None,
 ) -> Morphism:
-    return interpret_typed(typecheck(t, model, space, dom), model)
+    """The morphism of `t` in `model`.
+
+    `dom` pins the whole root domain; `space` seeds its leftmost free
+    leaf (derivative nodes double the domain themselves, so the hint
+    names the base space). Leaves still free afterwards default to the
+    hint or the model's ambient space.
+    """
+    s = _Subst()
+    try:
+        tree = _infer(t, s, ())
+        if dom is not None:
+            s.unify(tree[1], dom, ())
+    except RecursionError:
+        if s.cycle is None:
+            raise
+    # a space inside itself is infinite: unifying with it may never end, nor
+    # may seeding the hint or resolving; an error met first is reported first
+    if s.cycle is not None:
+        raise TermTypeError("no space is a product with itself as a factor", s.cycle)
+    if space is not None:
+        target = s.find(tree[1])
+        while isinstance(target, Product):
+            target = s.find(target.left)
+        if isinstance(target, _SVar):
+            s.unify(target, space, ())
+    fill = space if space is not None else model.default_space
+    for vid in range(1, s.next_id + 1):
+        v = s.find(_SVar(vid))
+        if isinstance(v, _SVar):
+            s.bind[v.id] = fill
+    # every primitive is looked up before anything is built, so an unknown
+    # one is reported ahead of a model refusing a derivative elsewhere
+    for name, a, path in s.prims:
+        try:
+            model.primitive(name, s.resolve(a))
+        except Exception as exc:
+            raise TermTypeError(f"primitive {name!r} not available: {exc}", path)
+    return _build(tree, s, model)
 
 
 # ---------------------------------------------------------------------------
@@ -415,39 +286,27 @@ def interpret(
 
 
 def _normalize(t: Term) -> Term:
-    if isinstance(t, TD):
-        return _push_d(_normalize(t.f))
-    if isinstance(t, TComp):
-        return TComp(_normalize(t.g), _normalize(t.f))
-    if isinstance(t, TPair):
-        return TPair(_normalize(t.f), _normalize(t.g))
-    if isinstance(t, TAdd):
-        return TAdd(_normalize(t.f), _normalize(t.g))
-    if isinstance(t, TEps):
-        return TEps(_normalize(t.f))
-    return t
+    if isinstance(t, str) or t[0] == "prim":
+        return t
+    kids = [_normalize(k) for k in t[1:]]
+    return _push_d(kids[0]) if t[0] == "d" else (t[0], *kids)
 
 
 def _push_d(t: Term) -> Term:
     """Normal form of D[t] for an already-normalized t."""
-    if isinstance(t, TId):
-        return TProj(1)
-    if isinstance(t, TProj):
-        return TComp(TProj(t.index), TProj(1))
-    if isinstance(t, TZero):
-        return TZero()
-    if isinstance(t, TOne):
-        return TOne()
-    if isinstance(t, TAdd):
-        return TAdd(_push_d(t.f), _push_d(t.g))
-    if isinstance(t, TEps):
-        return TEps(_push_d(t.f))
-    if isinstance(t, TPair):
-        return TPair(_push_d(t.f), _push_d(t.g))
-    if isinstance(t, TComp):
-        return TComp(_push_d(t.g), TPair(TComp(t.f, TProj(0)), _push_d(t.f)))
+    if t == "id":
+        return "pi1"
+    if t in ("pi0", "pi1"):
+        return ("comp", t, "pi1")
+    if t in ("zero", "one"):
+        return t
+    if t[0] in ("add", "eps", "pair"):
+        return (t[0], *map(_push_d, t[1:]))
+    if t[0] == "comp":
+        g, f = t[1:]
+        return ("comp", _push_d(g), ("pair", ("comp", f, "pi0"), _push_d(f)))
     # primitives and residual derivative towers stay symbolic
-    return TD(t)
+    return ("d", t)
 
 
 def symbolic_derive(t: Term, order: int = 1) -> Term:
@@ -463,12 +322,8 @@ def symbolic_derive(t: Term, order: int = 1) -> Term:
 
 
 def _values_tame(space: Space, v, cap: float) -> bool:
-    if isinstance(space, Real):
-        return all(isinstance(c, (int, float)) and math.isfinite(c) and abs(c) <= cap
-                   for c in v)
-    if isinstance(space, Product):
-        return _values_tame(space.left, v[0], cap) and _values_tame(space.right, v[1], cap)
-    return True
+    return all(isinstance(c, (int, float)) and math.isfinite(c) and abs(c) <= cap
+               for c, kind in zip(flatten(space, v), space.ops.coords) if kind is None)
 
 
 def random_term(
@@ -525,12 +380,12 @@ def _random_term_once(
     def gen(dom: Space, cod: Space, d: int) -> Term:
         atoms: list[Term] = []
         if dom == cod:
-            atoms.append(TId())
+            atoms.append("id")
             if dom == space:
-                atoms.extend(TPrim(n) for n in usable)
-        atoms.append(TZero())
+                atoms.extend(("prim", n) for n in usable)
+        atoms.append("zero")
         if isinstance(dom, Product) and dom.left == dom.right == cod:
-            atoms.extend([TProj(0), TProj(1)])
+            atoms.extend(["pi0", "pi1"])
         if d <= 0:
             return rng.choice(atoms)
         ops = ["comp", "add", "eps", "atom"]
@@ -541,15 +396,15 @@ def _random_term_once(
         op = rng.choice(ops)
         if op == "comp":
             mid = rng.choice([space, pp])
-            return TComp(gen(mid, cod, d - 1), gen(dom, mid, d - 1))
+            return ("comp", gen(mid, cod, d - 1), gen(dom, mid, d - 1))
         if op == "add":
-            return TAdd(gen(dom, cod, d - 1), gen(dom, cod, d - 1))
+            return ("add", gen(dom, cod, d - 1), gen(dom, cod, d - 1))
         if op == "eps":
-            return TEps(gen(dom, cod, d - 1))
+            return ("eps", gen(dom, cod, d - 1))
         if op == "pair":
-            return TPair(gen(dom, cod.left, d - 1), gen(dom, cod.right, d - 1))
+            return ("pair", gen(dom, cod.left, d - 1), gen(dom, cod.right, d - 1))
         if op == "d":
-            return TD(gen(dom.left, cod, d - 1))
+            return ("d", gen(dom.left, cod, d - 1))
         return rng.choice(atoms)
 
     return gen(space, space, depth)

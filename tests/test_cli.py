@@ -96,6 +96,32 @@ def test_bad_input_exits_two(capsys, argv):
         assert "is not a legal streams:k=2 space" in captured.err
 
 
+_EVAL_ID = ["eval", "--term", "id", "--model"]
+
+
+@pytest.mark.parametrize("argv", [
+    _EVAL_ID + ["findiff", "--space", "Z7", "--at", "(1,2)"],
+    _EVAL_ID + ["findiff", "--space", "Z7", "--at", "[1,2]"],
+    _EVAL_ID + ["findiff", "--space", "Z7", "--at", "()"],
+    _EVAL_ID + ["findiff", "--space", "Int[-5,5]", "--at", "(1,2)"],
+    _EVAL_ID + ["streams:k=2", "--space", "Stream(Z3,2)", "--at", "[(1,2),0]"],
+    _EVAL_ID + ["smooth", "--space", "R^2", "--at", "((1,2),3)"],
+    # a fraction is not an integer coordinate; it is not rounded either
+    _EVAL_ID + ["findiff", "--space", "Z7", "--at", "1.5"],
+    _EVAL_ID + ["findiff", "--space", "Int[-5,5]", "--at", "1.5"],
+])
+def test_misshaped_eval_point_exits_two(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_eval_takes_an_integral_float_as_an_integer(capsys):
+    assert run(capsys, *_EVAL_ID, "findiff", "--space", "Z7", "--at", "10.0") == (0, "3\n")
+
+
 @pytest.mark.parametrize("space", ["Int[-,3]", "Z-", "R^-", "Stream(Z3,-)", "Z²", "Int[¹,3]"])
 def test_bad_space_syntax_exits_two(capsys, space):
     # a sign without digits, or a non-ASCII digit, is bad syntax, not a crash

@@ -1,4 +1,5 @@
 import gc
+import math
 import tracemalloc
 import weakref
 
@@ -210,6 +211,22 @@ def test_code_arithmetic_matches_element_algebra(space, data):
     assert v_neg(space, ci).tolist() == codes(neg_elem, xs)
     for r in (-2, 0, 1, 3):
         assert v_scale(space, r, ci).tolist() == codes(scale_elem, [r] * len(xs), xs)
+
+
+@pytest.mark.parametrize("space", _CODEC_SPACES + [FunctionSpace(BoundedInt(-1, 1), Z2)],
+                         ids=format_space)
+def test_codec_size_radices_and_codes_agree(space):
+    # a code is the mixed-radix number of the element's coordinates, one
+    # digit per Z<n> coordinate; a Terminal part adds no digit
+    rads = spaces.radices(space)
+    n = codec_size(space)
+    assert n == math.prod(rads)
+    for i in sorted({n // 3, n // 2, n - 1} | set(range(0, n, max(1, n // 50)))):
+        x = decode(space, i)
+        assert encode(space, x) == i
+        digits = spaces.flatten(space, x) or [0]
+        assert len(digits) == len(rads)
+        assert sum(d * math.prod(rads[k + 1:]) for k, d in enumerate(digits)) == i
 
 
 def test_built_ops_make_no_reference_cycle():

@@ -20,7 +20,6 @@ from diffkit.terms import (
     print_term,
     random_term,
     symbolic_derive,
-    typecheck,
 )
 
 fd = get_model("findiff")
@@ -29,18 +28,26 @@ Z7 = CyclicGroup(7)
 
 
 def test_parse_and_types():
-    tt = typecheck(parse_term("(comp (prim sq) (prim inc))"), fd)
+    tt = interpret(parse_term("(comp (prim sq) (prim inc))"), fd)
     assert tt.dom == Z and tt.cod == Z
-    tt = typecheck(parse_term("(d (prim sq))"), fd)
+    tt = interpret(parse_term("(d (prim sq))"), fd)
     assert tt.dom == Product(Z, Z)
 
 
 def test_type_error_carries_path():
     with pytest.raises(TermTypeError):
-        typecheck(parse_term("(comp (prim sq) (pair id id))"), fd)
+        interpret(parse_term("(comp (prim sq) (pair id id))"), fd)
     with pytest.raises(TermTypeError):
         # composing through the terminal object cannot reach sq
-        typecheck(parse_term("(comp (prim sq) one)"), fd)
+        interpret(parse_term("(comp (prim sq) one)"), fd)
+
+
+def test_a_space_that_contains_itself_is_a_type_error():
+    # (add id (pair id id)) asks for A = A x A; unification must refuse it
+    # rather than build an infinite space
+    for text in ["(add id (pair id id))", "(add pi0 (pair pi0 pi1))"]:
+        with pytest.raises(TermTypeError, match="itself as a factor"):
+            interpret(parse_term(text), fd)
 
 
 def test_syntax_errors_carry_position():
