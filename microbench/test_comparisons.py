@@ -5,8 +5,9 @@ one comparison both ways: on batches (codes, coordinate arrays or float
 columns) and with sides stripped of their batch forms, on the same points
 in the same order. The rest time the layers a law check is built from:
 building an axiom's sides, tabulating a composite, one stage compared
-exhaustively against the same number of sampled points, and Kleisli
-composition under each oracle strategy.
+exhaustively against the same number of sampled points, a whole codec
+stage compared exhaustively, and Kleisli composition under each oracle
+strategy.
 """
 
 import numpy as np
@@ -91,6 +92,17 @@ def test_exhaustive_against_sampled(benchmark, strat):
         morphisms_equal, setup=lambda: ((*_sides("streams:k=4", STREAM4, "CdC0"), strat), {}),
         rounds=5, iterations=1)
     assert rep.passed and rep.checked == 81 * 81
+
+
+@pytest.mark.benchmark(group="CdC7a sides on (Z5 x Z5)^4, exhaustive")
+def test_exhaustive_codec_comparison(benchmark):
+    # fresh sides each round: a side keeps the tables it builds
+    strat = EqualityStrategy(Exhaustive(), bound=1_000_000)
+    rep = benchmark.pedantic(
+        morphisms_equal,
+        setup=lambda: ((*_sides("findiff", parse_space("(Z5 x Z5)"), "CdC7a"), strat), {}),
+        rounds=3, iterations=1)
+    assert rep.passed and rep.checked == 5 ** 8
 
 
 @pytest.mark.benchmark(group="tabulate d[g] . T(f) on Stream(Z3,4)^2")

@@ -8,6 +8,7 @@ shared machine measure the machine more than the code.
 import numpy as np
 import pytest
 
+from diffkit import spaces
 from diffkit.models import get_model
 from diffkit.spaces import (
     add_elem,
@@ -57,6 +58,12 @@ def test_v_add(benchmark):
 def test_v_sub(benchmark):
     i, j = _codes(Z5x4, 1)
     assert len(benchmark(v_sub, Z5x4, i, j)) == PAIRS
+
+
+@pytest.mark.benchmark(group="Cayley table of add on ((Z5 x Z5) x (Z5 x Z5))")
+def test_cayley_table(benchmark):
+    table = benchmark(spaces._table.__wrapped__, (5, 5, 5, 5), "add")
+    assert table.shape == (625, 625)
 
 
 @pytest.mark.parametrize("space", [STREAM, STREAM2X8],

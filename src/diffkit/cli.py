@@ -18,8 +18,8 @@ import time
 
 from .changeaction import check_cad_derivative, check_change_action, induced_action
 from .errors import DiffkitError, InvalidArgument
-from .kernel import (AXIOM_IDS, FLATNESS_IDS, DifferenceModel, check_axiom, check_flatness,
-                     pool_report)
+from .kernel import (AXIOM_IDS, FLATNESS_IDS, DifferenceModel, axiom_pool_report,
+                     check_flatness, pool_report)
 from .lambda_closed import run_lambda_suite
 from .models import get_model, load_table_primitive
 from .monad import (
@@ -336,8 +336,7 @@ def run_check(
         if ax in FLATNESS_IDS:
             results.append(check_flatness(model, space, strat, parts=(ax,)))
             continue
-        results.append(pool_report(
-            pool, lambda f, g: check_axiom(model, ax, [f, g], strat), "random subjects"))
+        results.append(axiom_pool_report(model, ax, pool, strat, "random subjects"))
     return results
 
 

@@ -720,6 +720,22 @@ def pool_report(pool: Sequence, check, noun: str) -> Optional[LawReport]:
     return agg
 
 
+def axiom_pool_report(model: DifferenceModel, axiom: str, pool: Sequence, strat: EqualityStrategy,
+                      noun: str, cat=None) -> Optional[LawReport]:
+    """`pool_report` of `check_axiom`. An axiom of arity "space" (CdC3,
+    EpsVanishing) reads only its subjects' domain: on a pool that shares one
+    it runs for the first subject alone and counts once per subject."""
+    once = _AXIOM_TABLE.get(axiom, (None, 1))[1] == "space" and all(
+        f.dom == pool[0].dom for f in pool)
+    rep = pool_report(pool[:1] if once else pool,
+                      lambda f, g: check_axiom(model, axiom, [f, g], strat, cat=cat), noun)
+    if once and rep is not None:
+        rep.subject = f"{len(pool)} {noun}"
+        rep.checked *= len(pool)
+        rep.violations *= len(pool)
+    return rep
+
+
 # ---------------------------------------------------------------------------
 # linearity and flatness predicates
 

@@ -27,13 +27,12 @@ from .kernel import (
     BaseCat,
     DifferenceModel,
     add,
-    check_axiom,
+    axiom_pool_report,
     compose,
     identity,
     is_group_homomorphism,
     is_linear,
     pair,
-    pool_report,
     product_map,
     projection,
     zero_map,
@@ -366,8 +365,8 @@ def check_kleisli_cdc(
     cat = KleisliCat(model, oracle_strat)
     subs = random_kleisli_subjects(model, a, subjects, seed)
     axioms = list(_KLEISLI_AXIOMS) + (["CDC2-additivity"] if model.tag == "smooth" else [])
-    reports = (pool_report(subs, lambda f, g: check_axiom(model, ax, [f, g], strat, cat=cat),
-                           "random kleisli subjects") for ax in axioms)
+    reports = (axiom_pool_report(model, ax, subs, strat, "random kleisli subjects", cat=cat)
+               for ax in axioms)
     return [r for r in reports if r is not None]
 
 

@@ -86,7 +86,7 @@ class Morphism:
     sampled one evaluates them at its drawn points only.
     `derivatives` memoizes `d[self]` per difference model, so repeated
     axiom instantiations share one derivative and its table, and the memo
-    dies with the morphism.
+    dies with the morphism. `last` is `codes_at`'s last `(idx, batch)`.
     """
 
     dom: Space
@@ -97,6 +97,7 @@ class Morphism:
     table: Optional[np.ndarray] = field(default=None, repr=False)
     table_builder: Optional[Callable] = field(default=None, repr=False)
     derivatives: dict = field(default_factory=dict, init=False, repr=False)
+    last: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __call__(self, x):
         return self.fn(x)
@@ -143,20 +144,19 @@ def tabulate(m: Morphism) -> Optional[np.ndarray]:
 
     The builder is preferred and dropped once the table is cached, which
     frees the sub-morphisms it holds; as a last resort the closure is
-    evaluated over the whole domain.
+    evaluated over the whole domain. The table is read-only.
     """
     if m.table is not None:
         return m.table
     n = table_codec_size(m.dom)
     if n is None or n > TABLE_LIMIT or table_codec_size(m.cod) is None:
         return None
+    tbl = None
     if m.table_builder is not None:
         builder, m.table_builder = m.table_builder, None
         tbl = _built(builder)
-        if tbl is not None:
-            m.table = tbl
-            return tbl
-    m.table = _closure_codes(m, range(n))
+    m.table = _closure_codes(m, range(n)) if tbl is None else tbl
+    m.table.setflags(write=False)
     return m.table
 
 
@@ -176,19 +176,33 @@ def codes_at(m: Morphism, idx: Optional[np.ndarray] = None) -> Optional[np.ndarr
     is evaluated at `idx` only: through the builder, or, for a map between
     codec spaces without one, by the closure once per distinct code. None
     when the builder is missing or would overflow int64.
+
+    A batch for at most MAX_CHUNK codes from the builder or the closure is
+    read-only, and kept for the same request object (`is`, not equal values):
+    a sub-map shared within a chunk runs once. So a builder never writes into
+    an array it did not allocate. A table read is cheap and not kept, so a
+    subject that outlives its comparison holds no chunk.
     """
+    last = m.last  # read once: (idx, batch) is replaced whole, never edited
+    if last is not None and last[0] is idx:
+        return last[1]
     tbl = m.table
     if tbl is None and (idx is None or len(idx) > MAX_CHUNK
                         or (table_codec_size(m.dom) or 0) <= TABULATE_RATIO * len(idx)):
         tbl = tabulate(m)
     if tbl is not None:
-        return tbl if idx is None else tbl[idx]
+        return tbl if idx is None else tbl[idx]  # `take` would copy a read-only idx
     if m.table_builder is not None:
-        return _built(m.table_builder, idx)
-    if table_codec_size(m.dom) is None or table_codec_size(m.cod) is None:
+        out = _built(m.table_builder, idx)
+    elif table_codec_size(m.dom) is None or table_codec_size(m.cod) is None:
         return None
-    codes, inverse = np.unique(domain_codes(m.dom, idx), return_inverse=True)
-    return _closure_codes(m, codes)[inverse]
+    else:
+        codes, inverse = np.unique(domain_codes(m.dom, idx), return_inverse=True)
+        out = _closure_codes(m, codes)[inverse]
+    if out is not None and idx is not None and len(idx) <= MAX_CHUNK:
+        out.setflags(write=False)
+        m.last = (idx, out)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -696,24 +696,6 @@ def radices(space: Space) -> tuple[int, ...]:
     return tuple(c[2] for c in coords) or (1,)
 
 
-def _digitwise(rads: tuple[int, ...], op, *codes: np.ndarray) -> np.ndarray:
-    """Codes whose every digit is `op` of the operands' digits, mod its radix."""
-    rest = list(codes)
-    out = np.zeros(np.broadcast_shapes(*(np.shape(c) for c in codes)), dtype=_I64)
-    stride = 1
-    for r in reversed(rads):
-        digits = []
-        for k, c in enumerate(rest):
-            rest[k], d = np.divmod(c, r)
-            digits.append(d)
-        t = op(*digits)
-        t %= r
-        t *= stride
-        out += t
-        stride *= r
-    return out
-
-
 @functools.lru_cache(maxsize=256)
 def _blocks(rads: tuple[int, ...], binary: bool) -> tuple[tuple[tuple[int, ...], bool], ...]:
     """`(radices, tabled)` of each block of consecutive digits, least significant
@@ -731,12 +713,17 @@ def _blocks(rads: tuple[int, ...], binary: bool) -> tuple[tuple[tuple[int, ...],
 @functools.lru_cache(maxsize=64)
 def _table(rads: tuple[int, ...], op: str, r: int = 0) -> np.ndarray:
     """Read-only Cayley table of an operation on the codes with digit radices
-    `rads`: n x n for "add" and "sub", length n for "scale" by `r`."""
-    codes = np.arange(math.prod(rads), dtype=_I64)
-    if op == "scale":
-        table = _digitwise(rads, lambda a: r * a, codes)
-    else:
-        table = _digitwise(rads, _BINARY[op], codes[:, None], codes[None, :])
+    `rads`: n x n for "add" and "sub", length n for "scale" by `r`. Built a
+    digit at a time, most significant first: the table so far, times the
+    digit's radix, plus the digit's own table broadcast beside it."""
+    table = np.zeros((1, 1) if op in _BINARY else 1, dtype=_I64)
+    for q in rads:
+        a = np.arange(q, dtype=_I64)
+        if op in _BINARY:
+            t = _BINARY[op](a[:, None], a) % q
+            table = (table[:, None, :, None] * q + t[:, None, :]).reshape(len(table) * q, -1)
+        else:
+            table = (table[:, None] * q + r * a % q).reshape(-1)
     table.setflags(write=False)
     return table
 

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import TermSyntaxError, TermTypeError
+from .errors import SizeExceeded, TermSyntaxError, TermTypeError
 from .kernel import (
     DifferenceModel,
     add,
@@ -285,11 +285,31 @@ def interpret(
 # symbolic differentiation
 
 
+# Largest derivative `symbolic_derive` builds, in tree nodes: the chain rule
+# copies the inner map, so each nested d makes a term about seven times larger.
+MAX_DERIVED_NODES = 100_000
+
+
+def _derived(t: Term) -> Term:
+    """`_push_d(t)`; SizeExceeded when that has more than MAX_DERIVED_NODES
+    nodes as a tree, where a shared subterm counts at every use."""
+    out, sizes = _push_d(t), {}
+
+    def size(u: Term) -> int:
+        if id(u) not in sizes:
+            sizes[id(u)] = 1 if isinstance(u, str) else 1 + sum(map(size, u[1:]))
+        return sizes[id(u)]
+
+    if size(out) > MAX_DERIVED_NODES:
+        raise SizeExceeded(f"the derivative has more than {MAX_DERIVED_NODES} nodes")
+    return out
+
+
 def _normalize(t: Term) -> Term:
     if isinstance(t, str) or t[0] == "prim":
         return t
     kids = [_normalize(k) for k in t[1:]]
-    return _push_d(kids[0]) if t[0] == "d" else (t[0], *kids)
+    return _derived(kids[0]) if t[0] == "d" else (t[0], *kids)
 
 
 def _push_d(t: Term) -> Term:
@@ -313,7 +333,7 @@ def symbolic_derive(t: Term, order: int = 1) -> Term:
     """Differentiate `order` times, rewriting down to primitive leaves."""
     out = _normalize(t)
     for _ in range(order):
-        out = _push_d(out)
+        out = _derived(out)
     return out
 
 

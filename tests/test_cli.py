@@ -1,5 +1,6 @@
 import functools
 import json
+import time
 
 import jsonschema
 import pytest
@@ -63,6 +64,17 @@ def test_check_separation_witness_exits_one(capsys):
     jsonschema.validate(doc, REPORT_SCHEMA)
     assert doc["violations_total"] > 0
     assert doc["results"][0]["counterexample"] is not None
+
+
+def test_derive_past_the_node_limit_exits_two(capsys):
+    # each nested d makes the derivative about seven times larger: 12 of them
+    # would print gigabytes, and the limit stops them at the eighth
+    started = time.perf_counter()
+    assert main(["derive", "--term", "(d " * 12 + "id" + ")" * 12]) == 2
+    assert time.perf_counter() - started < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 def test_usage_error_exits_two(capsys):

@@ -3,10 +3,13 @@ import weakref
 
 import pytest
 
+from diffkit import kernel
+from diffkit.cli import run_check
 from diffkit.errors import ShapeMismatch
 from diffkit.kernel import (
     BaseCat,
     add,
+    axiom_pool_report,
     axiom_sides,
     check_axiom,
     check_flatness,
@@ -19,11 +22,13 @@ from diffkit.kernel import (
     is_linear,
     oplus,
     pair,
+    pool_report,
     projection,
     terminal_map,
     zero_map,
 )
 from diffkit.models import get_model
+from diffkit.monad import KleisliCat, check_kleisli_cdc, random_kleisli_subjects
 from diffkit.morphisms import (
     Auto,
     EqualityStrategy,
@@ -38,6 +43,7 @@ from diffkit.spaces import (
     Real,
     StreamPrefix,
     TERMINAL,
+    parse_space,
 )
 
 Z3 = CyclicGroup(3)
@@ -243,3 +249,60 @@ def test_derivative_memo_dies_with_its_morphism(spec, space):
     del subjects, firsts
     gc.collect()
     assert [r() for r in refs] == [None] * 5
+
+
+# The per-subject loop that `axiom_pool_report` replaces for the axioms of
+# arity "space", kept as the reference its reports must equal.
+def _per_subject(model, axiom, pool, strat, noun, cat=None):
+    return pool_report(pool, lambda f, g: check_axiom(model, axiom, [f, g], strat, cat=cat),
+                       noun)
+
+
+def _counting_sides(monkeypatch):
+    calls = []
+    sides = kernel.axiom_sides
+    monkeypatch.setattr(kernel, "axiom_sides",
+                        lambda cat, model, axiom, subjects: calls.append(axiom)
+                        or sides(cat, model, axiom, subjects))
+    return calls
+
+
+@pytest.mark.parametrize("axiom", ["CdC3", "EpsVanishing"])
+@pytest.mark.parametrize("tag, space, subjects", [
+    ("findiff", "Z7", 5),
+    ("findiff", "(Z5 x Z5)", 3),
+    ("module:r=2", "Z5", 4),
+    ("streams:k=4", "Stream(Z3,4)", 3),
+])
+def test_subject_free_axioms_run_once_per_pool(monkeypatch, tag, space, subjects, axiom):
+    model, space = get_model(tag), parse_space(space)
+    strat = EqualityStrategy(Auto(64, 9))
+    pool = model.random_subjects(space, subjects, 9)
+    calls = _counting_sides(monkeypatch)
+    want = _per_subject(model, axiom, pool, strat, "random subjects")
+    assert calls == [axiom] * subjects
+    calls.clear()
+    (got,) = run_check(model, space, [axiom], subjects, 9, strat)
+    assert calls == [axiom]
+    assert got.to_dict() == want.to_dict()
+    assert got.checked > 0 and got.subject == f"{subjects} random subjects"
+    # epsilon is not zero in these models: eps(1) = 0 fails once per subject
+    assert got.violations == (subjects if axiom == "EpsVanishing" else 0)
+
+
+@pytest.mark.parametrize("axiom", ["CdC3", "EpsVanishing"])
+def test_subject_free_axioms_run_once_per_kleisli_pool(monkeypatch, axiom):
+    strat = EqualityStrategy(Auto(96, 6))
+    pool = random_kleisli_subjects(fd, Z5, 3, 31)
+    calls = _counting_sides(monkeypatch)
+    noun = "random kleisli subjects"
+    want = _per_subject(fd, axiom, pool, strat, noun, cat=KleisliCat(fd))
+    calls.clear()
+    got = axiom_pool_report(fd, axiom, pool, strat, noun, cat=KleisliCat(fd))
+    assert calls == [axiom]
+    assert got.to_dict() == want.to_dict()
+    if axiom == "CdC3":
+        calls.clear()
+        reports = check_kleisli_cdc(fd, Z5, strat, subjects=3, seed=31)
+        assert calls.count("CdC3") == 1
+        assert [r.to_dict() for r in reports if r.axiom == "CdC3"] == [want.to_dict()]

@@ -174,3 +174,52 @@ def test_table_and_closure_paths_agree_on_equality():
     fast = morphisms_equal(df, dg, EX)
     pointwise = all(df(x) == dg(x) for x in enumerate_space(df.dom))
     assert fast.passed == pointwise
+
+
+def _counting(dom, cod, fn):
+    """A map of codec spaces with a builder that logs each request it takes."""
+    calls = []
+
+    def build(idx=None):
+        calls.append(idx)
+        return np.fromiter((encode(cod, fn(decode(dom, int(i)))) for i in idx), np.int64)
+
+    return Morphism(dom, cod, fn, table_builder=build), calls
+
+
+def test_a_shared_sub_map_runs_once_per_chunk():
+    # 3^12 codes: too many to tabulate for a sampled chunk, so every chunk
+    # reaches the builder; FIRST_CHUNK + MAX_CHUNK + 100 points are 3 chunks
+    dom = StreamPrefix(Z3, 12)
+    shared, calls = _counting(dom, Z3, lambda a: (a[0] * a[5] + a[11]) % 3)
+    lhs = compose(identity(Z3), shared)
+    rhs = add(shared, zero_map(dom, Z3))
+    rep = morphisms_equal(lhs, rhs, EqualityStrategy(Sampled(16 + 4096 + 100, 4)))
+    assert rep.passed and rep.checked == 16 + 4096 + 100
+    assert [len(idx) for idx in calls] == [16, 4096, 100]
+    assert shared.table is None
+
+
+def test_only_the_same_batch_object_hits_the_cache():
+    m, calls = _counting(StreamPrefix(Z3, 12), Z3, lambda a: a[3])
+    idx = np.arange(0, 3 ** 12, 997, dtype=np.int64)
+    first = codes_at(m, idx)
+    assert codes_at(m, idx) is first and len(calls) == 1
+    again = codes_at(m, idx.copy())  # equal values, another object
+    assert len(calls) == 2 and again.tolist() == first.tolist()
+    assert codes_at(m, idx) is not first and len(calls) == 3  # only the last is kept
+
+
+def test_cached_batches_and_tables_are_read_only():
+    m, _ = _counting(StreamPrefix(Z3, 12), Z3, lambda a: a[3])
+    out = codes_at(m, np.arange(10, dtype=np.int64))
+    with pytest.raises(ValueError):
+        out[0] = 1
+    # a builder that writes into its sub-map's batch fails loudly
+    bad = Morphism(m.dom, Z3, m.fn, table_builder=lambda idx=None: np.add(
+        codes_at(m, idx), 1, out=codes_at(m, idx)))
+    with pytest.raises(ValueError):
+        codes_at(bad, np.arange(20, dtype=np.int64))
+    tbl = tabulate(add(identity(Z5), identity(Z5)))
+    with pytest.raises(ValueError):
+        tbl[0] = 1

@@ -173,6 +173,32 @@ def test_cayley_limit_splits_the_differential_spaces():
     assert all(codec_size(parse_space(t)) ** 2 > CAYLEY_LIMIT for t in _OVER_LIMIT)
 
 
+def _digitwise_table(rads, op, r):
+    """The reference Cayley table: every code pair split into its digits by
+    division, the digits combined mod their radices, the codes put back."""
+    codes = np.arange(math.prod(rads), dtype=np.int64)
+    rest = [codes] if op == "scale" else [codes[:, None], codes[None, :]]
+    out, stride = np.zeros(np.broadcast_shapes(*(c.shape for c in rest)), dtype=np.int64), 1
+    for q in reversed(rads):
+        digits = []
+        for k, c in enumerate(rest):
+            rest[k], d = np.divmod(c, q)
+            digits.append(d)
+        t = r * digits[0] if op == "scale" else {"add": np.add, "sub": np.subtract}[op](*digits)
+        out += t % q * stride
+        stride *= q
+    return out
+
+
+@pytest.mark.parametrize("rads", [(5, 5, 5, 5), (4, 6, 4, 6), (3,) * 6, (7, 7, 7), (11,)])
+@pytest.mark.parametrize("op, r", [("add", 0), ("sub", 0), ("scale", -1), ("scale", 2),
+                                   ("scale", 3)])
+def test_cayley_tables_match_the_digitwise_reference(rads, op, r):
+    table = spaces._table.__wrapped__(rads, op, r)
+    assert table.dtype == np.int64 and not table.flags.writeable
+    assert np.array_equal(table, _digitwise_table(rads, op, r))
+
+
 def test_cayley_over_the_limit_allocates_nothing():
     # 3^16 codes: refusing the whole tables must not build the codes first
     # (344 MB); the tables of its blocks are all that is built
