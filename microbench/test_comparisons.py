@@ -4,10 +4,10 @@ Run with `python -m pytest microbench --benchmark-only`. Most groups time
 one comparison both ways: on batches (codes, coordinate arrays or float
 columns) and with sides stripped of their batch forms, on the same points
 in the same order. The rest time the layers a law check is built from:
-building an axiom's sides, tabulating a composite, one stage compared
-exhaustively against the same number of sampled points, a whole codec
-stage compared exhaustively, and Kleisli composition under each oracle
-strategy.
+building an axiom's sides, tabulating a composite and a second derivative
+(in blocks), one stage compared exhaustively against the same number of
+sampled points, a whole codec stage compared exhaustively, and Kleisli
+composition under each oracle strategy.
 """
 
 import numpy as np
@@ -115,6 +115,18 @@ def test_tabulate_composite(benchmark):
 
     table = benchmark.pedantic(tabulate, setup=setup, rounds=5, iterations=1)
     assert table is not None and len(table) == 81 * 81
+
+
+@pytest.mark.benchmark(group="tabulate d[d[f]] on ((Z5 x Z5)^2)^2, in blocks")
+def test_tabulate_second_derivative(benchmark):
+    model = get_model("findiff")
+
+    def setup():  # a fresh subject: its derivatives keep the tables they build
+        (f,) = model.random_subjects(parse_space("(Z5 x Z5)"), 1, 42)
+        return (model.derivative(model.derivative(f)),), {}
+
+    table = benchmark.pedantic(tabulate, setup=setup, rounds=5, iterations=1)
+    assert len(table) == 5 ** 8 and table.dtype == np.uint8
 
 
 @pytest.mark.parametrize("spec,text", [("streams:k=8", "Stream(Z3,8)"), ("smooth", "R^2")])

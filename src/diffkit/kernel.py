@@ -189,7 +189,8 @@ class DifferenceModel:
     the difference combinator, a registry of named primitives, and a
     source of random law-check subjects. Derivatives are memoized on the
     differentiated morphism (`Morphism.derivatives`), so repeated axiom
-    instantiations share their tables and the memo dies with its key.
+    instantiations share their tables and the memo dies with its key; they
+    are marked `memoized`, which lets a large stage tabulate them.
     """
 
     tag: str = "abstract"
@@ -222,6 +223,7 @@ class DifferenceModel:
         cached = f.derivatives.get(self)
         if cached is None:
             cached = f.derivatives[self] = self._derivative(f)
+            cached.memoized = True
         return cached
 
     def _derivative(self, f: Morphism) -> Morphism:

@@ -129,8 +129,9 @@ class FinDiffModel(DifferenceModel):
         return BoundedInt(-100, 100)
 
     def epsilon(self, f: Morphism) -> Morphism:
+        """The identity on codes: shares `f`'s table when it has one."""
         return Morphism(f.dom, f.cod, f.fn, model=self.tag, name=f"eps({f.name})",
-                        table_builder=lambda idx=None: codes_at(f, idx))
+                        table=f.table, table_builder=lambda idx=None: codes_at(f, idx))
 
     def _derivative(self, f: Morphism) -> Morphism:
         self.check_space(f.dom)

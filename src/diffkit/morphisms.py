@@ -8,11 +8,13 @@ enumerates under a configured bound, otherwise seeded sampling.
 Morphisms between spaces with integer coordinates may also evaluate on
 batches (`spaces`: codes where a space has an int64 codec, coordinate
 arrays otherwise): `codes_at(m, idx)` gives the codomain batch of `m` at
-the domain batch `idx`. Codec domains that fit TABLE_LIMIT are tabulated
-once and indexed, unless a small request covers less than a sixteenth of
-them; larger ones are evaluated at just the requested codes, so a
-composite whose own domain is small reads big inner maps such as second
-derivatives without filling their whole domains.
+the domain batch `idx`, as int64. Small codec domains are tabulated once
+and indexed, and so is a memoized derivative's once a large stage reads it
+(the rule is at `codes_at`). A table of more than BLOCK codes is filled in
+blocks and kept in the narrowest unsigned dtype for its codomain's codes:
+a second derivative on `(Z5 x Z5)` keeps one byte per code. Anything else
+is evaluated at just the requested codes, so a composite reads a big
+inner map without filling its whole domain.
 
 `morphisms_equal` walks its test set in one loop of chunks. On a stage
 with batches a chunk is one batch: codes or coordinates read through
@@ -66,11 +68,12 @@ TABLE_LIMIT = 2_000_000  # max entries a lookup table may hold
 # chunk fills the tables of a codec stage that fits TABULATE_RATIO chunks.
 FIRST_CHUNK = 16
 MAX_CHUNK = 4096
-# A request of at most MAX_CHUNK codes tabulates a codec domain of at most
-# TABULATE_RATIO times its own size: a small sample must not fill a large
-# table. A larger request, from the tabulation of a large stage, tabulates
-# any domain that fits TABLE_LIMIT.
+# A request tabulates a codec domain of at most TABULATE_RATIO times its own
+# size and at most BLOCK codes, so a small sample does not fill a large
+# table (`codes_at` has the exception). A table of more than BLOCK codes is
+# filled BLOCK codes at a time, which bounds the temporaries of filling it.
 TABULATE_RATIO = 16
+BLOCK = TABULATE_RATIO * MAX_CHUNK
 
 
 @dataclass(eq=False)
@@ -78,15 +81,19 @@ class Morphism:
     """Morphism identity is object identity; equality of morphisms is
     extensional and goes through `morphisms_equal`.
 
-    `table` caches the integer-coded lookup table. `table_builder(idx=None)`
-    returns the codomain batch at the domain batch `idx` (None: every code
-    of a codec domain in order), or None when it cannot; it raises
-    OverflowError rather than let a value wrap in int64. Read it through
-    `codes_at`. Builders run only when a comparison needs batches, and a
-    sampled one evaluates them at its drawn points only.
+    `table` caches the integer-coded lookup table: int64 when given, in
+    `table_dtype` when `tabulate` builds it.
+    `table_builder(idx=None)` returns the codomain batch at the domain
+    batch `idx` (None: every code of a codec domain in order), or None when
+    it cannot; it raises OverflowError rather than let a value wrap in
+    int64. The constructor wraps it so that a call without `idx` fills a
+    table of more than BLOCK codes block by block (`_blocked`). Read both
+    through `codes_at`. Builders run only when a comparison needs batches,
+    and a sampled one evaluates them at its drawn points only.
     `derivatives` memoizes `d[self]` per difference model, so repeated
     axiom instantiations share one derivative and its table, and the memo
-    dies with the morphism. `last` is `codes_at`'s last `(idx, batch)`.
+    dies with the morphism; `memoized` marks a morphism kept there.
+    `last` is `codes_at`'s last `(idx, batch)`.
     """
 
     dom: Space
@@ -97,7 +104,14 @@ class Morphism:
     table: Optional[np.ndarray] = field(default=None, repr=False)
     table_builder: Optional[Callable] = field(default=None, repr=False)
     derivatives: dict = field(default_factory=dict, init=False, repr=False)
+    memoized: bool = field(default=False, init=False, repr=False)
     last: Optional[tuple] = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        n = table_codec_size(self.dom)
+        if (self.table_builder is not None and n is not None and BLOCK < n <= TABLE_LIMIT
+                and table_codec_size(self.cod) is not None):
+            self.table_builder = _blocked(n, table_dtype(n, self.cod), self.table_builder)
 
     def __call__(self, x):
         return self.fn(x)
@@ -134,9 +148,38 @@ def coord_builder(space: Space, fn: Callable, bound: Callable[[int], int]) -> Ca
     return build
 
 
-def _closure_codes(m: Morphism, codes) -> np.ndarray:
+def table_dtype(n: int, cod: Space) -> np.dtype:
+    """The dtype of a table of `n` codes into the codec space `cod`: int64
+    up to BLOCK codes, else the narrowest unsigned dtype of at most 32 bits
+    that holds the codes of `cod` (int64 when none does)."""
+    narrow = np.min_scalar_type(table_codec_size(cod) - 1)
+    return narrow if n > BLOCK and narrow.itemsize < 8 else np.dtype(np.int64)
+
+
+def _blocked(n: int, dtype: np.dtype, build: Callable) -> Callable:
+    """`build` on a codec domain of `n` codes, except that a call without
+    `idx` fills the table BLOCK codes at a time, into a preallocated array
+    of `dtype`: no whole-domain temporaries. The call keeps its signature,
+    so whoever holds the builder (`tabulate`, or a wrapper of it) gets the
+    blocks."""
+
+    def blocked(idx=None):
+        if idx is not None:
+            return build(idx)
+        out = np.empty(n, dtype)
+        for start in range(0, n, BLOCK):
+            part = build(np.arange(start, min(n, start + BLOCK), dtype=np.int64))
+            if part is None:
+                return None
+            out[start:start + len(part)] = part
+        return out
+
+    return blocked
+
+
+def _closure_codes(m: Morphism, codes, dtype=np.int64) -> np.ndarray:
     return np.fromiter((encode(m.cod, m.fn(decode(m.dom, int(i)))) for i in codes),
-                       dtype=np.int64, count=len(codes))
+                       dtype=dtype, count=len(codes))
 
 
 def tabulate(m: Morphism) -> Optional[np.ndarray]:
@@ -144,7 +187,8 @@ def tabulate(m: Morphism) -> Optional[np.ndarray]:
 
     The builder is preferred and dropped once the table is cached, which
     frees the sub-morphisms it holds; as a last resort the closure is
-    evaluated over the whole domain. The table is read-only.
+    evaluated over the whole domain. The table is read-only and in
+    `table_dtype`: read it through `codes_at`, which widens it.
     """
     if m.table is not None:
         return m.table
@@ -155,7 +199,7 @@ def tabulate(m: Morphism) -> Optional[np.ndarray]:
     if m.table_builder is not None:
         builder, m.table_builder = m.table_builder, None
         tbl = _built(builder)
-    m.table = _closure_codes(m, range(n)) if tbl is None else tbl
+    m.table = _closure_codes(m, range(n), table_dtype(n, m.cod)) if tbl is None else tbl
     m.table.setflags(write=False)
     return m.table
 
@@ -169,13 +213,17 @@ def _built(builder: Callable, *idx) -> Optional[np.ndarray]:
 
 def codes_at(m: Morphism, idx: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
     """Codomain batch of `m` at the domain batch `idx` (None: the whole
-    codec domain).
+    codec domain), always int64: a table in a narrower dtype is widened as
+    it is read, so `pair_batch`'s arithmetic cannot wrap.
 
-    A codec domain that fits TABLE_LIMIT, and TABULATE_RATIO times a request
-    of at most MAX_CHUNK codes, is tabulated once and indexed. Anything else
-    is evaluated at `idx` only: through the builder, or, for a map between
-    codec spaces without one, by the closure once per distinct code. None
-    when the builder is missing or would overflow int64.
+    A codec domain of at most BLOCK codes is tabulated once and indexed
+    when it holds at most TABULATE_RATIO times the request. If `m` is a
+    memoized derivative, a domain that fits TABLE_LIMIT is also tabulated
+    for a request of more than MAX_CHUNK codes (from the tabulation of a
+    larger stage). Anything else is evaluated at `idx` only: through the
+    builder, or, for a map between codec spaces without one, by the
+    closure once per distinct code. None when the builder is missing or
+    would overflow int64.
 
     A batch for at most MAX_CHUNK codes from the builder or the closure is
     read-only, and kept for the same request object (`is`, not equal values):
@@ -187,11 +235,12 @@ def codes_at(m: Morphism, idx: Optional[np.ndarray] = None) -> Optional[np.ndarr
     if last is not None and last[0] is idx:
         return last[1]
     tbl = m.table
-    if tbl is None and (idx is None or len(idx) > MAX_CHUNK
-                        or (table_codec_size(m.dom) or 0) <= TABULATE_RATIO * len(idx)):
+    if tbl is None and (idx is None or m.memoized and len(idx) > MAX_CHUNK or (
+            table_codec_size(m.dom) or 0) <= min(BLOCK, TABULATE_RATIO * len(idx))):
         tbl = tabulate(m)
     if tbl is not None:
-        return tbl if idx is None else tbl[idx]  # `take` would copy a read-only idx
+        out = tbl if idx is None else tbl[idx]  # `take` would copy a read-only idx
+        return out if out.itemsize == 8 else out.astype(np.int64)
     if m.table_builder is not None:
         out = _built(m.table_builder, idx)
     elif table_codec_size(m.dom) is None or table_codec_size(m.cod) is None:

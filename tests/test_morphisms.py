@@ -1,10 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+
+from diffkit.cli import main
 
 from diffkit.errors import DomainMismatch, SizeExceeded
 from diffkit.kernel import add, compose, identity, pair, projection, zero_map
 from diffkit.models import get_model
 from diffkit.morphisms import (
+    BLOCK,
+    MAX_CHUNK,
     Auto,
     EqualityStrategy,
     Exhaustive,
@@ -24,6 +30,7 @@ from diffkit.spaces import (
     decode,
     encode,
     enumerate_space,
+    parse_space,
     sample_space,
     zero_elem,
 )
@@ -223,3 +230,110 @@ def test_cached_batches_and_tables_are_read_only():
     tbl = tabulate(add(identity(Z5), identity(Z5)))
     with pytest.raises(ValueError):
         tbl[0] = 1
+
+
+# Second derivatives whose domains, 5^8 = 390,625 and 24^4 = 331,776 codes,
+# are tabulated in blocks of BLOCK codes, one byte per code.
+BIG = [("findiff", "(Z5 x Z5)"), ("module:r=2", "(Z4 x Z6)")]
+
+
+def _second_derivative(spec, text, seed=7):
+    model = get_model(spec)
+    (f,) = model.random_subjects(parse_space(text), 1, seed)
+    return model, model.derivative(model.derivative(f))
+
+
+def _closure_at(m, idx):
+    return [encode(m.cod, m.fn(decode(m.dom, int(i)))) for i in idx]
+
+
+@pytest.mark.parametrize("spec,text", BIG)
+def test_a_table_filled_in_blocks_matches_the_closures(spec, text):
+    _, d2 = _second_derivative(spec, text)
+    n = codec_size(d2.dom)
+    assert n > 2 * BLOCK
+    tbl = tabulate(d2)
+    assert tbl.dtype == np.uint8 and len(tbl) == n
+    assert not tbl.flags.writeable
+    idx = np.random.default_rng(1).integers(0, n, 256)
+    idx = np.concatenate([idx, [0, BLOCK - 1, BLOCK, 2 * BLOCK - 1, n - 1]])
+    assert tbl[idx].tolist() == _closure_at(d2, idx)
+
+
+@pytest.mark.parametrize("spec,text", BIG)
+def test_codes_at_widens_a_narrow_table(spec, text):
+    _, d2 = _second_derivative(spec, text)
+    tabulate(d2)
+    n = codec_size(d2.dom)
+    chunk = np.arange(0, n, n // MAX_CHUNK, dtype=np.int64)[:MAX_CHUNK]
+    block = np.arange(BLOCK, 2 * BLOCK, dtype=np.int64)
+    for idx in (None, chunk, block):
+        assert codes_at(d2, idx).dtype == np.int64
+    # pair_batch computes left * 25 + right (24 on Z4 x Z6): in uint8 it would wrap
+    both = pair(d2, d2)
+    got = codes_at(both, chunk)
+    assert got.max() > 255
+    assert got.tolist() == _closure_at(both, chunk)
+
+
+@pytest.mark.parametrize("spec,text", BIG)
+def test_a_block_that_overflows_falls_back_to_the_closures(spec, text):
+    _, d2 = _second_derivative(spec, text)
+    starts = []
+
+    def build(idx=None):
+        starts.append(None if idx is None else int(idx[0]))
+        if idx is not None and idx[0] == 2 * BLOCK:
+            raise OverflowError("a value beyond int64")
+        return codes_at(d2, idx)
+
+    m = Morphism(d2.dom, d2.cod, d2.fn, table_builder=build)
+    tbl = tabulate(m)
+    assert starts == [0, BLOCK, 2 * BLOCK]  # blocks, never the whole domain
+    assert tbl.dtype == np.uint8 and not tbl.flags.writeable
+    assert np.array_equal(tbl, tabulate(d2))
+
+
+def test_only_memoized_derivatives_tabulate_for_a_large_request():
+    # eps(d[d[f]]) is built afresh per axiom instance: a request of more
+    # than MAX_CHUNK codes, here a block of a larger tabulation, reads it
+    # at those codes only, while the memoized d[d[f]] beneath it is
+    # tabulated once for the run
+    model, d2 = _second_derivative("module:r=2", "(Z4 x Z6)")
+    eps = model.epsilon(d2)
+    idx = np.arange(BLOCK, 2 * BLOCK, dtype=np.int64)
+    assert BLOCK > codec_size(d2.dom) // 16
+    assert codes_at(eps, idx)[::97].tolist() == _closure_at(eps, idx[::97])
+    assert eps.table is None and d2.table is not None
+
+
+def test_a_small_domain_is_tabulated_for_a_large_request():
+    # a subject on Stream(Z3,8), 6,561 codes, read whole by the tabulation
+    # of a composite: its table serves every later read
+    (f,) = get_model("streams:k=8").random_subjects(StreamPrefix(Z3, 8), 1, seed=2)
+    idx = np.arange(3 ** 8, dtype=np.int64)[::-1].copy()
+    assert len(idx) > MAX_CHUNK and not f.memoized
+    assert codes_at(f, idx)[::50].tolist() == _closure_at(f, idx[::50])
+    assert f.table is not None
+
+
+def test_findiff_epsilon_shares_its_arguments_table():
+    model, d2 = _second_derivative("findiff", "(Z5 x Z5)")
+    assert model.epsilon(model.epsilon(d2)).table is None
+    tbl = tabulate(d2)
+    assert model.epsilon(model.epsilon(d2)).table is tbl
+
+
+def test_second_derivative_tables_keep_memory_bounded(capsys):
+    # each subject keeps its second derivative's table for the whole run:
+    # 390,625 bytes, and a block at a time to fill it (29 MB traced with
+    # whole-domain int64 tables, 8.8 MB with blocks)
+    argv = ["check", "--model", "findiff", "--space", "(Z5 x Z5)", "--subjects", "3",
+            "--axioms", "CdC6,CdC7a", "--bound", "1000000", "--seed", "42"]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15_000_000
