@@ -4,8 +4,8 @@ Run with `python -m pytest microbench --benchmark-only`. Most groups time
 one comparison both ways: on batches (codes, coordinate arrays or float
 columns) and with sides stripped of their batch forms, on the same points
 in the same order. The rest time the layers a law check is built from:
-building an axiom's sides, tabulating a composite and a second derivative
-(in blocks), one stage compared exhaustively against the same number of
+building an axiom's sides, one axiom over a pool of subjects, tabulating
+a composite and a second derivative (in blocks), one stage compared exhaustively against the same number of
 sampled points, a whole codec stage compared exhaustively, and Kleisli
 composition under each oracle strategy.
 """
@@ -13,7 +13,7 @@ composition under each oracle strategy.
 import numpy as np
 import pytest
 
-from diffkit.kernel import BaseCat, axiom_sides, compose
+from diffkit.kernel import BaseCat, axiom_pool_report, axiom_sides, compose
 from diffkit.models import get_model
 from diffkit.monad import DEFAULT_ORACLE, T_map, kleisli_compose, random_kleisli_subjects
 from diffkit.morphisms import (
@@ -139,6 +139,20 @@ def test_axiom_sides_cdc7a(benchmark, spec, text):
 
     ((_, lhs, _),) = benchmark.pedantic(axiom_sides, setup=setup, rounds=20, iterations=1)
     assert len(leaves(lhs.dom)) == 4
+
+
+@pytest.mark.benchmark(group="CdC2 over a pool of 50 subjects on Z7")
+def test_axiom_pool_on_a_small_stage(benchmark):
+    # one BaseCat for the pool: the structure maps are built once, so most
+    # of the time goes to each subject's own nodes and comparisons
+    model, strat = get_model("findiff"), EqualityStrategy(Auto(256, 42))
+
+    def setup():  # a fresh pool: derivatives are memoized on their subject
+        return (model, "CdC2", model.random_subjects(parse_space("Z7"), 50, 42), strat,
+                "random subjects"), {}
+
+    rep = benchmark.pedantic(axiom_pool_report, setup=setup, rounds=5, iterations=1)
+    assert rep.passed and rep.checked == 50 * (7 ** 3 + 7)
 
 
 @pytest.mark.parametrize("spec,text,oracle", [

@@ -389,12 +389,9 @@ def _cmd_algebra_check(args) -> int:
         n = codec_size(Product(a, a))
         if n is None or len(table) != n:
             raise DiffkitError("nu table must cover T(space) exactly once")
-        import numpy as np
-
         from .morphisms import from_table
 
-        nu = from_table(Product(a, a), a, np.asarray(table, dtype=np.int64),
-                        model=model.tag, name="nu")
+        nu = from_table(Product(a, a), a, table, model=model.tag, name="nu")
         results.append(check_linear_algebra(model, AlgebraCandidate(a, nu), strat))
     return _emit(args, "algebra-check", model.tag, seed, results, started)
 

@@ -296,10 +296,33 @@ def oplus(model: DifferenceModel, f: Morphism, g: Morphism) -> Morphism:
 
 
 class BaseCat:
-    """A difference model presented as a category of plain morphisms."""
+    """A difference model presented as a category of plain morphisms.
+
+    Structure maps are hash-consed per instance. Identities, projections,
+    zeros, terminal maps and generic points are built once per tuple of
+    spaces; a composite, pair, sum or epsilon is built once per tuple of
+    arguments when every argument is itself a memo value (keyed by identity:
+    `Morphism` is `eq=False`). Anything else, a subject or a map built from
+    one, is built afresh and not kept. So the memo never holds a subject, and
+    the subjects of a pool that share one instance read one set of points,
+    pairs and zeros, with the tables those build.
+    """
 
     def __init__(self, model: DifferenceModel):
         self.model = model
+        self._memo: dict = {}
+        self._kept: set[int] = set()  # ids of memo values, which the memo keeps alive
+
+    def _cons(self, build: Callable, *args):
+        """`build(*args)`, memoized when every morphism among `args` is."""
+        if any(isinstance(a, Morphism) and id(a) not in self._kept for a in args):
+            return build(*args)
+        key = (build, *(id(a) if isinstance(a, Morphism) else a for a in args))
+        out = self._memo.get(key)
+        if out is None:
+            out = self._memo[key] = build(*args)
+            self._kept.add(id(out))
+        return out
 
     def dom(self, f):
         return f.dom
@@ -308,28 +331,28 @@ class BaseCat:
         return f.cod
 
     def identity(self, a):
-        return identity(a)
+        return self._cons(identity, a)
 
     def compose(self, g, f):
-        return compose(g, f)
+        return self._cons(compose, g, f)
 
     def pair(self, f, g):
-        return pair(f, g)
+        return self._cons(pair, f, g)
 
     def proj(self, i, a, b):
-        return projection(i, a, b)
+        return self._cons(projection, i, a, b)
 
     def zero(self, a, b):
-        return zero_map(a, b)
+        return self._cons(zero_map, a, b)
 
     def add(self, f, g):
-        return add(f, g)
+        return self._cons(add, f, g)
 
     def terminal(self, a):
-        return terminal_map(a)
+        return self._cons(terminal_map, a)
 
     def epsilon(self, f):
-        return self.model.epsilon(f)
+        return self._cons(self.model.epsilon, f)
 
     def derivative(self, f):
         return self.model.derivative(f)
@@ -339,8 +362,13 @@ class BaseCat:
 
     def generic_points(self, objs: Sequence[Space]):
         """A stage object and tautological points covering objs elementwise."""
-        stage = _nested(objs)
-        return stage, _point_projections(stage, objs)
+        key = ("points", *objs)
+        if key not in self._memo:
+            stage = _nested(objs)
+            points = tuple(_point_projections(stage, objs))
+            self._kept.update(map(id, points))  # not the walks: a point's table frees them
+            self._memo[key] = stage, points
+        return self._memo[key]
 
     def equal(self, f, g, strat):
         return morphisms_equal(f, g, strat)
@@ -724,11 +752,14 @@ def pool_report(pool: Sequence, check, noun: str) -> Optional[LawReport]:
 
 def axiom_pool_report(model: DifferenceModel, axiom: str, pool: Sequence, strat: EqualityStrategy,
                       noun: str, cat=None) -> Optional[LawReport]:
-    """`pool_report` of `check_axiom`. An axiom of arity "space" (CdC3,
-    EpsVanishing) reads only its subjects' domain: on a pool that shares one
-    it runs for the first subject alone and counts once per subject."""
+    """`pool_report` of `check_axiom`, with one `cat` (a fresh `BaseCat` when
+    None) for the whole pool, so its structure maps are built once. An axiom
+    of arity "space" (CdC3, EpsVanishing) reads only its subjects' domain: on
+    a pool that shares one it runs for the first subject alone and counts
+    once per subject."""
     once = _AXIOM_TABLE.get(axiom, (None, 1))[1] == "space" and all(
         f.dom == pool[0].dom for f in pool)
+    cat = cat or BaseCat(model)
     rep = pool_report(pool[:1] if once else pool,
                       lambda f, g: check_axiom(model, axiom, [f, g], strat, cat=cat), noun)
     if once and rep is not None:

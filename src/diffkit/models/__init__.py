@@ -5,8 +5,6 @@ from __future__ import annotations
 import json
 import re
 
-import numpy as np
-
 from ..errors import ModelRestriction
 from ..kernel import DifferenceModel
 from ..morphisms import Morphism, from_table
@@ -71,8 +69,7 @@ def load_table_primitive(model: DifferenceModel, name: str, payload: str | dict)
         raise ModelRestriction(
             f"table for {name!r} needs a finite group space covered exactly once"
         )
-    m = from_table(space, space, np.asarray(table, dtype=np.int64),
-                   model=model.tag, name=name)
+    m = from_table(space, space, table, model=model.tag, name=name)
 
     def factory(s: Space, _m=m) -> Morphism:
         if s != _m.dom:

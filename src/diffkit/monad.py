@@ -278,12 +278,14 @@ class KleisliCat:
     A generalized point of A at stage S is a base map S -> T(A), so the
     point stage for k points of A is the base product of k copies of
     T(A) with its tautological projections split into components.
-    `oracle_strat` is the self-check of every composition.
+    `oracle_strat` is the self-check of every composition. One `BaseCat`
+    builds the point stages, so its structure maps are shared.
     """
 
     def __init__(self, model: DifferenceModel, oracle_strat: EqualityStrategy = DEFAULT_ORACLE):
         self.model = model
         self.oracle_strat = oracle_strat
+        self.base = BaseCat(model)
 
     def dom(self, f):
         return f.dom
@@ -322,7 +324,7 @@ class KleisliCat:
         return Product(a, b)
 
     def generic_points(self, objs: Sequence[Space]):
-        stage, chains = BaseCat(self.model).generic_points([T_space(o) for o in objs])
+        stage, chains = self.base.generic_points([T_space(o) for o in objs])
         points = [kleisli_from_base(chain, o) for chain, o in zip(chains, objs)]
         return stage, points
 

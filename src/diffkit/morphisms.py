@@ -111,7 +111,9 @@ class Morphism:
         n = table_codec_size(self.dom)
         if (self.table_builder is not None and n is not None and BLOCK < n <= TABLE_LIMIT
                 and table_codec_size(self.cod) is not None):
-            self.table_builder = _blocked(n, table_dtype(n, self.cod), self.table_builder)
+            self.table_builder = _blocked(n, table_dtype(n, self.cod), self.table_builder,
+                                          functools.partial(_closure_codes, self.dom, self.cod,
+                                                            self.fn))
 
     def __call__(self, x):
         return self.fn(x)
@@ -121,8 +123,16 @@ class Morphism:
 
 
 def from_table(dom: Space, cod: Space, table: np.ndarray, model=None, name="table") -> Morphism:
-    """Morphism backed by an explicit index table over codec spaces."""
-    tbl = np.asarray(table, dtype=np.int64)
+    """Morphism backed by an explicit index table over codec spaces; every
+    entry must be a code of `cod`."""
+    tbl = np.asarray(table)
+    if tbl.ndim != 1 or tbl.size and tbl.dtype.kind not in "iu":
+        raise InvalidArgument(f"table {name!r} must be a flat list of integer codes")
+    tbl = tbl.astype(np.int64, copy=False)
+    n = codec_size(cod)
+    if len(tbl) and not (0 <= tbl.min() and tbl.max() < n):
+        raise InvalidArgument(f"table {name!r} has an entry outside the codes 0..{n - 1} "
+                              f"of {format_space(cod)}")
 
     def fn(x, _dom=dom, _cod=cod, _tbl=tbl):
         return decode(_cod, int(_tbl[encode(_dom, x)]))
@@ -156,10 +166,12 @@ def table_dtype(n: int, cod: Space) -> np.dtype:
     return narrow if n > BLOCK and narrow.itemsize < 8 else np.dtype(np.int64)
 
 
-def _blocked(n: int, dtype: np.dtype, build: Callable) -> Callable:
+def _blocked(n: int, dtype: np.dtype, build: Callable, closure: Callable) -> Callable:
     """`build` on a codec domain of `n` codes, except that a call without
     `idx` fills the table BLOCK codes at a time, into a preallocated array
-    of `dtype`: no whole-domain temporaries. The call keeps its signature,
+    of `dtype`: no whole-domain temporaries. A block that `build` cannot
+    give (None, or an OverflowError) is filled by `closure(codes, dtype)`,
+    and the other blocks keep their batches. The call keeps its signature,
     so whoever holds the builder (`tabulate`, or a wrapper of it) gets the
     blocks."""
 
@@ -168,17 +180,16 @@ def _blocked(n: int, dtype: np.dtype, build: Callable) -> Callable:
             return build(idx)
         out = np.empty(n, dtype)
         for start in range(0, n, BLOCK):
-            part = build(np.arange(start, min(n, start + BLOCK), dtype=np.int64))
-            if part is None:
-                return None
-            out[start:start + len(part)] = part
+            codes = np.arange(start, min(n, start + BLOCK), dtype=np.int64)
+            part = _built(build, codes)
+            out[start:start + len(codes)] = closure(codes, dtype) if part is None else part
         return out
 
     return blocked
 
 
-def _closure_codes(m: Morphism, codes, dtype=np.int64) -> np.ndarray:
-    return np.fromiter((encode(m.cod, m.fn(decode(m.dom, int(i)))) for i in codes),
+def _closure_codes(dom: Space, cod: Space, fn: Callable, codes, dtype=np.int64) -> np.ndarray:
+    return np.fromiter((encode(cod, fn(decode(dom, int(i)))) for i in codes),
                        dtype=dtype, count=len(codes))
 
 
@@ -186,8 +197,9 @@ def tabulate(m: Morphism) -> Optional[np.ndarray]:
     """Force (and cache) the index table of `m`, if feasible.
 
     The builder is preferred and dropped once the table is cached, which
-    frees the sub-morphisms it holds; as a last resort the closure is
-    evaluated over the whole domain. The table is read-only and in
+    frees the sub-morphisms it holds. The closure fills what the builder
+    cannot: the whole domain, or only those blocks of a table filled in
+    blocks (`_blocked`). The table is read-only and in
     `table_dtype`: read it through `codes_at`, which widens it.
     """
     if m.table is not None:
@@ -199,7 +211,9 @@ def tabulate(m: Morphism) -> Optional[np.ndarray]:
     if m.table_builder is not None:
         builder, m.table_builder = m.table_builder, None
         tbl = _built(builder)
-    m.table = _closure_codes(m, range(n), table_dtype(n, m.cod)) if tbl is None else tbl
+    if tbl is None:
+        tbl = _closure_codes(m.dom, m.cod, m.fn, range(n), table_dtype(n, m.cod))
+    m.table = tbl
     m.table.setflags(write=False)
     return m.table
 
@@ -247,7 +261,7 @@ def codes_at(m: Morphism, idx: Optional[np.ndarray] = None) -> Optional[np.ndarr
         return None
     else:
         codes, inverse = np.unique(domain_codes(m.dom, idx), return_inverse=True)
-        out = _closure_codes(m, codes)[inverse]
+        out = _closure_codes(m.dom, m.cod, m.fn, codes)[inverse]
     if out is not None and idx is not None and len(idx) <= MAX_CHUNK:
         out.setflags(write=False)
         m.last = (idx, out)

@@ -574,7 +574,9 @@ def split_batch(space: Product, b: np.ndarray, i: int) -> np.ndarray:
     """Side `i` (0: left, 1: right) of the batch `b` of a product space."""
     if _layout(space).codec:
         n = _layout(space.right).codec
-        return b % n if i else b // n
+        q = b // n
+        # b % n, as codes are >= 0, in q's buffer: `%` costs about 3 times `//`
+        return np.subtract(b, np.multiply(q, n, out=q), out=q) if i else q
     w = _layout(space.left).width
     return _from_coords(space.right, b[:, w:]) if i else _from_coords(space.left, b[:, :w])
 
@@ -736,7 +738,8 @@ def _gather(space: Space, op: str, r: int, *codes: np.ndarray) -> np.ndarray:
     for k, (rads, tabled) in enumerate(blocks):
         n, digits = math.prod(rads), rest
         if k + 1 < len(blocks):  # peel this block's digits off the operands
-            rest, digits = zip(*(np.divmod(c, n) for c in rest))
+            rest = [c // n for c in rest]  # and c % n as below, as codes are >= 0
+            digits = [np.subtract(c, m, out=m) for c, m in zip(digits, (q * n for q in rest))]
         if tabled:
             # gather into the fresh flat-index array: a new array costs page
             # faults that take longer than the gather; "wrap" is unbuffered

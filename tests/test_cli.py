@@ -174,6 +174,34 @@ def test_table_primitive_loading(capsys, tmp_path):
     assert "rot" not in get_model("findiff").primitive_names()
 
 
+@pytest.mark.parametrize("table", [[0, 7, -1, 2, 3], [0, 1.5, 2, 3, 4]], ids=["range", "fraction"])
+@pytest.mark.parametrize("argv", [
+    ["eval", "--model", "findiff", "--space", "Z5", "--term", "(prim bad)", "--at", "1"],
+    ["check", "--model", "findiff", "--space", "Z5", "--subjects", "1"],
+], ids=["eval", "check"])
+def test_a_table_entry_that_is_no_code_exits_two(capsys, tmp_path, argv, table):
+    # 7, -1 and 1.5 are no codes of Z5: read as such they would give a verdict
+    prim = tmp_path / "bad.json"
+    prim.write_text(json.dumps({"space": "Z5", "table": table}))
+    assert main(argv + ["--prim", f"bad={prim}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: table 'bad'") and captured.err.count("\n") == 1
+
+
+def test_a_nu_entry_outside_the_codes_exits_two(capsys, tmp_path):
+    table = [(x + y) % 5 for x in range(5) for y in range(5)]
+    table[-1] = 99
+    nu = tmp_path / "nu.json"
+    nu.write_text(json.dumps({"space": "Z5", "nu": table}))
+    assert main(["algebra-check", "--model", "findiff", "--space", "Z5",
+                 "--nu-file", str(nu)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "outside the codes" in captured.err
+
+
 def test_algebra_check_with_nu_file(capsys, tmp_path):
     # nu(x, y) = x + y on Z5 (idempotent scalar 1): flat table over T(Z5)
     table = [(x + y) % 5 for x in range(5) for y in range(5)]

@@ -33,6 +33,7 @@ from diffkit.morphisms import (
     Auto,
     EqualityStrategy,
     Exhaustive,
+    Morphism,
     Sampled,
     morphisms_equal,
 )
@@ -306,3 +307,115 @@ def test_subject_free_axioms_run_once_per_kleisli_pool(monkeypatch, axiom):
         reports = check_kleisli_cdc(fd, Z5, strat, subjects=3, seed=31)
         assert calls.count("CdC3") == 1
         assert [r.to_dict() for r in reports if r.axiom == "CdC3"] == [want.to_dict()]
+
+
+# ---------------------------------------------------------------------------
+# structure maps shared by a BaseCat
+
+
+def _constructions(monkeypatch):
+    made = []
+    post = Morphism.__post_init__
+    monkeypatch.setattr(Morphism, "__post_init__", lambda m: made.append(m) or post(m))
+    return made
+
+
+def test_a_pool_shares_its_structure_maps(monkeypatch):
+    cat = BaseCat(fd)
+    f, g, h = fd.random_subjects(Z7, 3, seed=4)
+    made = _constructions(monkeypatch)
+    (_, lf, rf), = axiom_sides(cat, fd, "CdC6", [f])
+    first = len(made)
+    (_, lg, rg), = axiom_sides(cat, fd, "CdC6", [g])
+    second = len(made) - first
+    axiom_sides(BaseCat(fd), fd, "CdC6", [h])
+    # the second subject builds only its own nodes; a fresh cat builds all
+    assert 0 < second < first == len(made) - first - second
+    stage, (x, y, z) = cat.generic_points([Z7, Z7, Z7])
+    again = cat.generic_points([Z7, Z7, Z7])
+    assert again[0] == stage and all(p is q for p, q in zip(again[1], (x, y, z)))
+    zero = cat.zero(stage, Z7)
+    assert zero is cat.zero(stage, Z7)
+    assert cat.pair(cat.pair(x, y), cat.pair(zero, z)) is \
+        cat.pair(cat.pair(x, y), cat.pair(zero, z))
+    assert cat.add(x, cat.epsilon(y)) is cat.add(x, cat.epsilon(y))
+    assert cat.identity(Z7) is cat.identity(Z7)
+    assert cat.proj(1, Z7, Z5) is cat.proj(1, Z7, Z5) and cat.proj(0, Z7, Z5) is not \
+        cat.proj(1, Z7, Z5)
+    assert cat.terminal(Z7) is cat.terminal(Z7)
+    # anything built from a subject is fresh
+    assert len({id(m) for m in (lf, rf, lg, rg)}) == 4
+    fx = cat.compose(f, x)
+    assert fx is not cat.compose(f, x)
+    assert cat.pair(fx, y) is not cat.pair(fx, y)
+    assert cat.epsilon(f) is not cat.epsilon(f)
+    assert cat.add(f, f) is not cat.add(f, f)
+
+
+@pytest.mark.parametrize("axiom", sorted(kernel._AXIOM_TABLE))
+def test_the_memo_keeps_no_subject(axiom):
+    cat = BaseCat(fd)
+    f, g = fd.random_subjects(Z5, 2, seed=8)
+    refs = [weakref.ref(f), weakref.ref(g)]
+    sides = axiom_sides(cat, fd, axiom, [f, g])
+    for _, lhs, rhs in sides:  # random subjects: some laws fail, and that is fine here
+        morphisms_equal(lhs, rhs, AUTO)
+    del f, g, sides, lhs, rhs
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+    assert cat.identity(Z5) is cat.identity(Z5)  # the cat, alive, keeps its own maps
+
+
+def test_the_kleisli_memo_keeps_no_subject():
+    cat = KleisliCat(fd)
+    pool = random_kleisli_subjects(fd, Z3, 2, 5)
+    refs = [weakref.ref(k.f0) for k in pool]
+    assert axiom_pool_report(fd, "CdC2", pool, AUTO, "random kleisli subjects", cat=cat).passed
+    del pool
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+    assert cat.base.identity(Z3) is cat.base.identity(Z3)  # the cat, alive, keeps its own maps
+
+
+_POOLS = [
+    ("findiff", "Z7", 3),
+    ("findiff", "(Z5 x Z5)", 2),
+    ("module:r=2", "Z5", 3),
+    ("streams:k=4", "Stream(Z3,4)", 2),
+    ("smooth", "R^1", 2),
+]
+
+
+class _Unshared(BaseCat):
+    """A BaseCat that shares nothing, not even within one subject's sides."""
+
+    def _cons(self, build, *args):
+        return build(*args)
+
+
+@pytest.mark.parametrize("tag, text, size", _POOLS)
+def test_a_shared_cat_reports_as_fresh_cats_do(tag, text, size):
+    # the reference: `_per_subject` with a fresh BaseCat for every subject;
+    # and a cat that shares nothing, which a wrong key would not match
+    model, space = get_model(tag), parse_space(text)
+    strat = EqualityStrategy(Auto(48, 13))
+    noun = "random subjects"
+    for axiom in kernel._AXIOM_TABLE:
+        want = _per_subject(model, axiom, model.random_subjects(space, size, 13), strat, noun)
+        got = axiom_pool_report(model, axiom, model.random_subjects(space, size, 13), strat,
+                                noun)
+        unshared = _per_subject(model, axiom, model.random_subjects(space, size, 13), strat,
+                                noun, cat=_Unshared(model))
+        assert got.to_dict() == want.to_dict() == unshared.to_dict(), axiom
+
+
+def test_a_shared_kleisli_cat_reports_as_fresh_cats_do():
+    strat = EqualityStrategy(Auto(48, 14))
+    noun = "random kleisli subjects"
+    for axiom in kernel._AXIOM_TABLE:
+        want = pool_report(random_kleisli_subjects(fd, Z3, 2, 14),
+                           lambda f, g: check_axiom(fd, axiom, [f, g], strat, cat=KleisliCat(fd)),
+                           noun)
+        got = axiom_pool_report(fd, axiom, random_kleisli_subjects(fd, Z3, 2, 14), strat, noun,
+                                cat=KleisliCat(fd))
+        assert got.to_dict() == want.to_dict(), axiom

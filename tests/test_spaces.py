@@ -239,6 +239,28 @@ def test_code_arithmetic_matches_element_algebra(space, data):
         assert v_scale(space, r, ci).tolist() == codes(scale_elem, [r] * len(xs), xs)
 
 
+def _fourth_power(a):
+    return Product(a, Product(a, Product(a, a)))
+
+
+@pytest.mark.parametrize("text", ["(Z5 x Z5)", "(Z4 x Z6)"])
+def test_split_batch_is_divmod(text):
+    # split_batch takes the remainder as b - (b // n) * n, which is b % n on codes >= 0
+    space = _fourth_power(parse_space(text))
+    top = codec_size(space) - 1
+    b = np.concatenate([np.random.default_rng(3).integers(0, top, 4096), [0, top]])
+    while isinstance(space, Product):
+        q, r = np.divmod(b, codec_size(space.right))
+        assert np.array_equal(spaces.split_batch(space, b, 0), q)
+        assert np.array_equal(spaces.split_batch(space, b, 1), r)
+        space, b = space.right, r
+    # _gather peels its blocks the same way: the largest code plus itself
+    big = _fourth_power(parse_space(text))
+    x = decode(big, top)
+    assert v_add(big, np.array([top]), np.array([top])).tolist() == \
+        [encode(big, add_elem(big, x, x))]
+
+
 @pytest.mark.parametrize("space", _CODEC_SPACES + [FunctionSpace(BoundedInt(-1, 1), Z2)],
                          ids=format_space)
 def test_codec_size_radices_and_codes_agree(space):
