@@ -4,7 +4,8 @@ Run with `python -m pytest microbench --benchmark-only`. Most groups time
 one comparison both ways: on batches (codes, coordinate arrays or float
 columns) and with sides stripped of their batch forms, on the same points
 in the same order. The rest time the layers a law check is built from:
-building an axiom's sides, one axiom over a pool of subjects, tabulating
+building an axiom's sides, one axiom over a pool of subjects (on a small
+stage, and exhaustively on a large one whose wirings the pool shares), tabulating
 a composite and a second derivative (in blocks), one stage compared exhaustively against the same number of
 sampled points, a whole codec stage compared exhaustively, and Kleisli
 composition under each oracle strategy.
@@ -153,6 +154,22 @@ def test_axiom_pool_on_a_small_stage(benchmark):
 
     rep = benchmark.pedantic(axiom_pool_report, setup=setup, rounds=5, iterations=1)
     assert rep.passed and rep.checked == 50 * (7 ** 3 + 7)
+
+
+@pytest.mark.benchmark(group="CdC7a over a pool of 3 subjects on (Z5 x Z5), exhaustive")
+def test_pooled_exhaustive_wiring(benchmark):
+    # one BaseCat for the pool: the wiring <<x,z>,<y,w>> on (Z5 x Z5)^4 is
+    # computed in one pass for the first subject and tabulated when the second
+    # reads it, and <<x,y>,<z,w>> is the identity on codes. The second
+    # derivatives are tabulated first, as CdC6 leaves them.
+    model = get_model("findiff")
+    strat = EqualityStrategy(Auto(256, 42), bound=1_000_000)
+    pool = model.random_subjects(parse_space("(Z5 x Z5)"), 3, 42)
+    for f in pool:
+        tabulate(model.derivative(model.derivative(f)))
+    rep = benchmark.pedantic(axiom_pool_report, (model, "CdC7a", pool, strat, "random subjects"),
+                             rounds=7, iterations=1)
+    assert rep.passed and rep.checked == 3 * 5 ** 8
 
 
 @pytest.mark.parametrize("spec,text,oracle", [

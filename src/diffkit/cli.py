@@ -21,7 +21,7 @@ from .errors import DiffkitError, InvalidArgument
 from .kernel import (AXIOM_IDS, FLATNESS_IDS, DifferenceModel, axiom_pool_report,
                      check_flatness, pool_report)
 from .lambda_closed import run_lambda_suite
-from .models import get_model, load_table_primitive
+from .models import get_model, load_table_primitive, read_table_json
 from .monad import (
     AlgebraCandidate,
     check_kleisli_cdc,
@@ -274,7 +274,7 @@ def _load_prims(model: DifferenceModel, args):
         name, _, path = spec.partition("=")
         if not path:
             raise DiffkitError("--prim expects NAME=FILE")
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             load_table_primitive(model, name, fh.read())
 
 
@@ -382,10 +382,8 @@ def _cmd_algebra_check(args) -> int:
     results = [check_linear_algebra(model, free_algebra(model, space), strat)]
     results[-1].subject = f"free algebra over {format_space(space)}"
     if args.nu_file:
-        with open(args.nu_file) as fh:
-            data = json.load(fh)
-        a = parse_space(data["space"])
-        table = data["nu"]
+        with open(args.nu_file, "rb") as fh:
+            a, table = read_table_json(fh.read(), "nu", "nu table")
         n = codec_size(Product(a, a))
         if n is None or len(table) != n:
             raise DiffkitError("nu table must cover T(space) exactly once")

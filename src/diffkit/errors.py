@@ -5,6 +5,12 @@ class DiffkitError(Exception):
     """Base class for all library errors."""
 
 
+class InternalError(RuntimeError):
+    """Two evaluation paths of the library disagree: a bug in diffkit, not
+    bad input and not a law violation. Not a DiffkitError, so it is never
+    reported as bad input."""
+
+
 class InvalidArgument(DiffkitError, ValueError):
     """A value outside what a constructor or entry point accepts."""
 

@@ -17,6 +17,7 @@ element points.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -31,7 +32,9 @@ from .morphisms import (
     domain_codes,
     morphisms_equal,
     report_from_equalities,
+    Wiring,
     to_jsonable,
+    wiring,
 )
 from .spaces import (
     Product,
@@ -40,6 +43,7 @@ from .spaces import (
     add_elem,
     codec_size,
     const_batch,
+    coord_width,
     derive_seed,
     elements_equal,
     format_space,
@@ -49,6 +53,7 @@ from .spaces import (
     sample_space,
     space_size,
     split_batch,
+    table_codec_size,
     v_add,
     v_neg,
     zero_elem,
@@ -306,6 +311,10 @@ class BaseCat:
     one, is built afresh and not kept. So the memo never holds a subject, and
     the subjects of a pool that share one instance read one set of points,
     pairs and zeros, with the tables those build.
+
+    A memo value that only selects coordinates (an identity, a projection,
+    or a composite or pair of such maps) is kept as a wiring
+    (`morphisms.Wiring`), which reads none of the maps it is built from.
     """
 
     def __init__(self, model: DifferenceModel):
@@ -320,7 +329,7 @@ class BaseCat:
         key = (build, *(id(a) if isinstance(a, Morphism) else a for a in args))
         out = self._memo.get(key)
         if out is None:
-            out = self._memo[key] = build(*args)
+            out = self._memo[key] = _as_wiring(build(*args), build, args)
             self._kept.add(id(out))
         return out
 
@@ -366,7 +375,7 @@ class BaseCat:
         if key not in self._memo:
             stage = _nested(objs)
             points = tuple(_point_projections(stage, objs))
-            self._kept.update(map(id, points))  # not the walks: a point's table frees them
+            self._kept.update(map(id, points))  # not the walks: a wired point drops them
             self._memo[key] = stage, points
         return self._memo[key]
 
@@ -385,16 +394,38 @@ def _nested(objs: Sequence[Space]) -> Space:
 
 
 def _point_projections(stage: Space, objs: Sequence[Space]) -> list[Morphism]:
-    points = []
-    walk = identity(stage)
-    for k, o in enumerate(objs):
-        if k == len(objs) - 1:
-            points.append(walk)
-        else:
-            rest = _nested(objs[k + 1:])
-            points.append(compose(projection(0, o, rest), walk))
-            walk = compose(projection(1, o, rest), walk)
-    return points
+    """The generic points of `objs` at `stage`; wirings on a codec stage."""
+    points, walk = [], identity(stage)
+    for k, o in enumerate(objs[:-1]):
+        rest = _nested(objs[k + 1:])
+        points.append(compose(projection(0, o, rest), walk))
+        walk = compose(projection(1, o, rest), walk)
+    points.append(walk)
+    if table_codec_size(stage) is None:
+        return points
+    ends = itertools.accumulate(map(coord_width, objs))
+    return [wiring(p, tuple(range(end - coord_width(o), end)))
+            for p, o, end in zip(points, objs, ends)]
+
+
+def _as_wiring(m: Morphism, build: Callable, args: tuple) -> Morphism:
+    """`m = build(*args)` as a wiring (`morphisms.Wiring`) when it selects
+    coordinates: an identity, a projection, or a composite or pair of
+    wirings, between codec spaces."""
+    if table_codec_size(m.dom) is None or table_codec_size(m.cod) is None:
+        return m
+    if build is identity:
+        cols = range(coord_width(m.dom))
+    elif build is projection:
+        w = coord_width(args[1])
+        cols = range(w) if args[0] == 0 else range(w, coord_width(m.dom))
+    elif build is compose and all(isinstance(a, Wiring) for a in args):
+        cols = [args[1].cols[c] for c in args[0].cols]
+    elif build is pair and all(isinstance(a, Wiring) for a in args):
+        cols = args[0].cols + args[1].cols
+    else:
+        return m
+    return wiring(m, tuple(cols))
 
 
 # ---------------------------------------------------------------------------

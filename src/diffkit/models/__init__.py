@@ -5,10 +5,10 @@ from __future__ import annotations
 import json
 import re
 
-from ..errors import ModelRestriction
+from ..errors import InvalidArgument, ModelRestriction
 from ..kernel import DifferenceModel
 from ..morphisms import Morphism, from_table
-from ..spaces import Space, codec_size, parse_space
+from ..spaces import Space, codec_size, format_space, parse_space
 from .findiff import FinDiffModel
 from .modmaps import ModuleModel
 from .smooth import Dual, SmoothModel
@@ -34,6 +34,7 @@ __all__ = [
     "stream_linear_check",
     "truncation",
     "load_table_primitive",
+    "read_table_json",
 ]
 
 
@@ -59,11 +60,25 @@ def get_model(text: str) -> DifferenceModel:
     return model
 
 
-def load_table_primitive(model: DifferenceModel, name: str, payload: str | dict) -> Morphism:
+def read_table_json(payload: str | bytes | dict, key: str, what: str) -> tuple[Space, list]:
+    """The space and the list under `key` of a table file's JSON (or of the
+    object itself): `{"space": "<space>", key: [...]}`. InvalidArgument,
+    naming `what`, for anything else."""
+    if not isinstance(payload, dict):
+        try:
+            payload = json.loads(payload)
+        except ValueError as exc:  # not JSON, or not text
+            raise InvalidArgument(f"{what} is not JSON: {exc}") from None
+    if not (isinstance(payload, dict) and isinstance(payload.get("space"), str)
+            and isinstance(payload.get(key), list)):
+        raise InvalidArgument(f'{what} must be a JSON object {{"space": "<space>", "{key}": [...]}}')
+    return parse_space(payload["space"]), payload[key]
+
+
+def load_table_primitive(model: DifferenceModel, name: str,
+                         payload: str | bytes | dict) -> Morphism:
     """Register a table-valued primitive from JSON: {"space": "Z7", "table": [..]}."""
-    data = json.loads(payload) if isinstance(payload, str) else payload
-    space = parse_space(data["space"])
-    table = data["table"]
+    space, table = read_table_json(payload, "table", f"table {name!r}")
     n = codec_size(space)
     if n is None or len(table) != n:
         raise ModelRestriction(
@@ -73,7 +88,7 @@ def load_table_primitive(model: DifferenceModel, name: str, payload: str | dict)
 
     def factory(s: Space, _m=m) -> Morphism:
         if s != _m.dom:
-            raise ModelRestriction(f"{name!r} is a table primitive on {data['space']}")
+            raise ModelRestriction(f"{name!r} is a table primitive on {format_space(_m.dom)}")
         return _m
 
     model.register_primitive(name, factory)

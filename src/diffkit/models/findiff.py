@@ -22,6 +22,7 @@ from ..spaces import (
     Space,
     add_elem,
     codec_size,
+    coord_width,
     derive_seed,
     flatten,
     format_space,
@@ -31,7 +32,6 @@ from ..spaces import (
     unflatten,
     v_add,
     v_sub,
-    zero_elem,
 )
 
 
@@ -75,7 +75,7 @@ def _poly_subject(space: Space, rng: random.Random, name: str) -> Morphism:
     """Total nonlinear endomap on integer carriers: per-output polynomial of
     a random weighting of the input coordinates (degree <= 2, small
     coefficients)."""
-    width = len(flatten(space, zero_elem(space)))
+    width = coord_width(space)
     specs = []
     for _ in range(width):
         weights = [rng.randint(-2, 2) for _ in range(width)]

@@ -8,13 +8,15 @@ enumerates under a configured bound, otherwise seeded sampling.
 Morphisms between spaces with integer coordinates may also evaluate on
 batches (`spaces`: codes where a space has an int64 codec, coordinate
 arrays otherwise): `codes_at(m, idx)` gives the codomain batch of `m` at
-the domain batch `idx`, as int64. Small codec domains are tabulated once
-and indexed, and so is a memoized derivative's once a large stage reads it
-(the rule is at `codes_at`). A table of more than BLOCK codes is filled in
-blocks and kept in the narrowest unsigned dtype for its codomain's codes:
-a second derivative on `(Z5 x Z5)` keeps one byte per code. Anything else
-is evaluated at just the requested codes, so a composite reads a big
-inner map without filling its whole domain.
+the domain batch `idx`, as int64. A codec domain is tabulated once and
+indexed by the three rules at `codes_at`: a small domain, a memoized
+derivative read by a large stage, and a pool-shared `Wiring` (a map that
+only selects coordinates) once it has given as many codes as its domain
+holds. A table of more than BLOCK codes is filled in blocks and kept in the
+narrowest unsigned dtype for its codomain's codes: a second derivative on
+`(Z5 x Z5)` keeps one byte per code. Anything else is evaluated at just
+the requested codes, so a composite reads a big inner map without filling
+its whole domain.
 
 `morphisms_equal` walks its test set in one loop of chunks. On a stage
 with batches a chunk is one batch: codes or coordinates read through
@@ -35,7 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainMismatch, InvalidArgument, SizeExceeded
+from .errors import DomainMismatch, InternalError, InvalidArgument, SizeExceeded
 from .spaces import (
     DEFAULT_ENUM_BOUND,
     Space,
@@ -59,6 +61,7 @@ from .spaces import (
     space_size,
     table_codec_size,
     unflatten,
+    wiring_codes,
 )
 
 TABLE_LIMIT = 2_000_000  # max entries a lookup table may hold
@@ -138,6 +141,29 @@ def from_table(dom: Space, cod: Space, table: np.ndarray, model=None, name="tabl
         return decode(_cod, int(_tbl[encode(_dom, x)]))
 
     return Morphism(dom, cod, fn, model=model, name=name, table=tbl)
+
+
+@dataclass(eq=False, repr=False)
+class Wiring(Morphism):
+    """A map between codec spaces that selects coordinates: codomain
+    coordinate j is domain coordinate `cols[j]`. Its batch comes from the
+    codes of its request in one mixed-radix pass (`wiring_codes`); `moves`
+    is False for the identity on codes, whose batch is the request itself.
+    `given` counts the codes its builder has given (rule 3 of `codes_at`)."""
+
+    cols: tuple = ()
+    moves: bool = True
+    given: int = field(default=0, init=False)
+
+
+def wiring(m: Morphism, cols: tuple[int, ...]) -> Wiring:
+    """`m`, which selects coordinates `cols`, as a Wiring: one that reads none
+    of the maps `m` was built from."""
+    dom, wire = m.dom, wiring_codes(m.dom, cols)
+    build = ((lambda idx=None: domain_codes(dom, idx)) if wire is None
+             else lambda idx=None: wire(domain_codes(dom, idx)))
+    return Wiring(dom, m.cod, m.fn, model=m.model, name=m.name, table_builder=build,
+                  cols=cols, moves=wire is not None)
 
 
 def domain_codes(space: Space, idx: Optional[np.ndarray]) -> np.ndarray:
@@ -225,38 +251,54 @@ def _built(builder: Callable, *idx) -> Optional[np.ndarray]:
         return None
 
 
+def _tabulates(m: Morphism, request: int) -> bool:
+    """Rules 1-3 of `codes_at` for a read of `request` codes."""
+    n = table_codec_size(m.dom) or 0
+    return (n <= min(BLOCK, TABULATE_RATIO * request)
+            or m.memoized and request > MAX_CHUNK
+            or isinstance(m, Wiring) and m.moves and m.given >= n)
+
+
 def codes_at(m: Morphism, idx: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
     """Codomain batch of `m` at the domain batch `idx` (None: the whole
     codec domain), always int64: a table in a narrower dtype is widened as
     it is read, so `pair_batch`'s arithmetic cannot wrap.
 
-    A codec domain of at most BLOCK codes is tabulated once and indexed
-    when it holds at most TABULATE_RATIO times the request. If `m` is a
-    memoized derivative, a domain that fits TABLE_LIMIT is also tabulated
-    for a request of more than MAX_CHUNK codes (from the tabulation of a
-    larger stage). Anything else is evaluated at `idx` only: through the
-    builder, or, for a map between codec spaces without one, by the
-    closure once per distinct code. None when the builder is missing or
-    would overflow int64.
+    The codec domain of `m` is tabulated once, and then indexed, for a
+    request of None, or (`_tabulates`) when: 1. it has at most BLOCK codes
+    and at most TABULATE_RATIO times the request; 2. `m` is a memoized
+    derivative and the request has more than MAX_CHUNK codes (the
+    tabulation of a larger stage); 3. `m` is a wiring other than the
+    identity on codes whose builder has given as many codes as its domain
+    holds, so the table costs no more than the reads it has served: the
+    second exhaustive comparison of a pool tabulates it, a pool of one
+    subject or a single sampled comparison never does. A wiring is kept by
+    a `kernel.BaseCat`, so its table serves the rest of the pool and dies
+    with it. No domain past TABLE_LIMIT is tabulated (`tabulate`). Anything
+    else is evaluated at `idx` only: through the builder, or, for a map
+    between codec spaces without one, by the closure once per distinct
+    code. None when the builder is missing or would overflow int64.
 
     A batch for at most MAX_CHUNK codes from the builder or the closure is
     read-only, and kept for the same request object (`is`, not equal values):
     a sub-map shared within a chunk runs once. So a builder never writes into
     an array it did not allocate. A table read is cheap and not kept, so a
-    subject that outlives its comparison holds no chunk.
+    subject that outlives its comparison holds no chunk. The identity on
+    codes gives the request itself, made read-only in turn.
     """
     last = m.last  # read once: (idx, batch) is replaced whole, never edited
     if last is not None and last[0] is idx:
         return last[1]
     tbl = m.table
-    if tbl is None and (idx is None or m.memoized and len(idx) > MAX_CHUNK or (
-            table_codec_size(m.dom) or 0) <= min(BLOCK, TABULATE_RATIO * len(idx))):
+    if tbl is None and (idx is None or _tabulates(m, len(idx))):
         tbl = tabulate(m)
     if tbl is not None:
         out = tbl if idx is None else tbl[idx]  # `take` would copy a read-only idx
         return out if out.itemsize == 8 else out.astype(np.int64)
     if m.table_builder is not None:
         out = _built(m.table_builder, idx)
+        if isinstance(m, Wiring) and idx is not None:
+            m.given += len(idx)
     elif table_codec_size(m.dom) is None or table_codec_size(m.cod) is None:
         return None
     else:
@@ -462,7 +504,8 @@ def morphisms_equal(f: Morphism, g: Morphism, strat: EqualityStrategy) -> Equali
             p = at(k)
             lhs, rhs = f(p), g(p)
             if elements_equal(f.cod, lhs, rhs, strat.abs_tol, strat.rel_tol):
-                raise RuntimeError(f"batches and closures of {f!r}, {g!r} disagree at {p!r}")
+                raise InternalError(f"batches and closures disagree at {p!r}: the batches of "
+                                    f"{f!r} and {g!r} differ there, their closures give {lhs!r}")
             return _refuted(start + k + 1, p, lhs, rhs, strat, seed)
         start, size = stop, MAX_CHUNK
     return EqualityReport(True, count, mode=strat.describe(), seed=seed)

@@ -574,11 +574,55 @@ def split_batch(space: Product, b: np.ndarray, i: int) -> np.ndarray:
     """Side `i` (0: left, 1: right) of the batch `b` of a product space."""
     if _layout(space).codec:
         n = _layout(space.right).codec
-        q = b // n
-        # b % n, as codes are >= 0, in q's buffer: `%` costs about 3 times `//`
-        return np.subtract(b, np.multiply(q, n, out=q), out=q) if i else q
+        return _mod(b, n) if i else b // n
     w = _layout(space.left).width
     return _from_coords(space.right, b[:, w:]) if i else _from_coords(space.left, b[:, :w])
+
+
+def coord_width(space: Space) -> int:
+    """The number of coordinates of an element of `space`."""
+    return len((space._ops or space.ops).coords)
+
+
+def _mod(b: np.ndarray, n: int) -> np.ndarray:
+    """`b % n` for codes b >= 0, as `b - (b // n) * n`: `%` costs about 3 times
+    `//`. In a fresh buffer; `b` is only read."""
+    q = b // n
+    return np.subtract(b, np.multiply(q, n, out=q), out=q)
+
+
+def wiring_codes(space: Space,
+                 cols: tuple[int, ...]) -> Optional[Callable[[np.ndarray], np.ndarray]]:
+    """`wire(b)`: for the codes `b` of the codec space `space`, the codes of
+    the space whose coordinate j is coordinate `cols[j]` of `space`, in one
+    mixed-radix pass, as a fresh array. A run of coordinates consecutive in
+    both costs one `//` and a remainder, each left out where it would be the
+    identity. None when `cols` is the identity on codes."""
+    lay = _layout(space)
+    if cols == tuple(range(lay.width)):
+        return None
+    mods, stride = lay.mods.tolist(), lay.stride.tolist()
+    runs, weight = [], 1  # (divisor, modulus or 0, weight), least significant first
+    # a run: the (j, cols[j]) of consecutive j with one cols[j] - j
+    for run in reversed([list(g) for _, g in itertools.groupby(enumerate(cols),
+                                                               lambda jc: jc[1] - jc[0])]):
+        lo, hi = run[0][1], run[-1][1]
+        n = math.prod(mods[lo:hi + 1])
+        runs.append((stride[hi], n if lo else 0, weight))
+        weight *= n
+
+    def wire(b: np.ndarray) -> np.ndarray:
+        out = None
+        for div, n, w in runs:
+            t = b // div if div > 1 else b
+            if n:
+                t = _mod(t, n)
+            if w > 1:
+                t = t * w if t is b else np.multiply(t, w, out=t)
+            out = (t.copy() if t is b else t) if out is None else np.add(out, t, out=out)
+        return np.zeros_like(b) if out is None else out
+
+    return wire
 
 
 def pair_batch(space: Product, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -791,7 +835,7 @@ def _first_columns(space: Space, what: str) -> list[int]:
     for s in leaves(space):
         if not isinstance(s, StreamPrefix):
             raise TypeMismatch(f"{what} needs a stream-shaped space, got {s!r}")
-        w = len((s.base._ops or s.base.ops).coords)
+        w = coord_width(s.base)
         cols += range(pos, pos + w)
         pos += w * s.length
     return cols
@@ -803,7 +847,8 @@ def _digits(space: Space, i: np.ndarray, cols: list[int]) -> np.ndarray:
     out = np.zeros_like(i)
     for c in cols:
         d = i // lay.stride[c]
-        d %= lay.mods[c]
+        if lay.stride[c] * lay.mods[c] < lay.codec:  # else c leads, and d < mods[c]
+            d = _mod(d, lay.mods[c])
         d *= lay.stride[c]
         out += d
     return out

@@ -202,6 +202,33 @@ def test_a_nu_entry_outside_the_codes_exits_two(capsys, tmp_path):
     assert "outside the codes" in captured.err
 
 
+_MALFORMED = {
+    "not-json": b"not json",
+    "not-text": b"\xff\xfe\xfd",
+    "not-an-object": b"[0, 1, 2, 3, 4]",
+    "no-space": b'{"KEY": [0, 1, 2, 3, 4]}',
+    "space-not-text": b'{"space": 5, "KEY": [0, 1, 2, 3, 4]}',
+    "bad-space-text": b'{"space": "Z", "KEY": [0, 1, 2, 3, 4]}',
+    "no-table": b'{"space": "Z5"}',
+    "table-not-a-list": b'{"space": "Z5", "KEY": 5}',
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_MALFORMED))
+@pytest.mark.parametrize("key, argv", [
+    ("table", ["eval", "--model", "findiff", "--space", "Z5", "--term", "(prim bad)",
+               "--at", "1", "--prim", "bad=FILE"]),
+    ("nu", ["algebra-check", "--model", "findiff", "--space", "Z5", "--nu-file", "FILE"]),
+], ids=["prim", "nu-file"])
+def test_a_malformed_table_file_exits_two(capsys, tmp_path, shape, key, argv):
+    path = tmp_path / "bad.json"
+    path.write_bytes(_MALFORMED[shape].replace(b"KEY", key.encode()))
+    assert main([a.replace("FILE", str(path)) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_algebra_check_with_nu_file(capsys, tmp_path):
     # nu(x, y) = x + y on Z5 (idempotent scalar 1): flat table over T(Z5)
     table = [(x + y) % 5 for x in range(5) for y in range(5)]

@@ -1,9 +1,11 @@
 import gc
+import random
 import weakref
 
+import numpy as np
 import pytest
 
-from diffkit import kernel
+from diffkit import kernel, morphisms
 from diffkit.cli import run_check
 from diffkit.errors import ShapeMismatch
 from diffkit.kernel import (
@@ -30,12 +32,18 @@ from diffkit.kernel import (
 from diffkit.models import get_model
 from diffkit.monad import KleisliCat, check_kleisli_cdc, random_kleisli_subjects
 from diffkit.morphisms import (
+    BLOCK,
+    FIRST_CHUNK,
+    MAX_CHUNK,
     Auto,
     EqualityStrategy,
     Exhaustive,
     Morphism,
     Sampled,
+    Wiring,
+    codes_at,
     morphisms_equal,
+    tabulate,
 )
 from diffkit.spaces import (
     BoundedInt,
@@ -44,7 +52,11 @@ from diffkit.spaces import (
     Real,
     StreamPrefix,
     TERMINAL,
+    codec_size,
+    decode,
+    encode,
     parse_space,
+    wiring_codes,
 )
 
 Z3 = CyclicGroup(3)
@@ -419,3 +431,144 @@ def test_a_shared_kleisli_cat_reports_as_fresh_cats_do():
         got = axiom_pool_report(fd, axiom, random_kleisli_subjects(fd, Z3, 2, 14), strat, noun,
                                 cat=KleisliCat(fd))
         assert got.to_dict() == want.to_dict(), axiom
+
+
+# ---------------------------------------------------------------------------
+# wirings: structure maps that select coordinates, one pass on codec stages
+
+
+def _plain_points(stage, objs):
+    """The generic points as composites of projections, not wirings."""
+    points, walk = [], identity(stage)
+    for k, o in enumerate(objs[:-1]):
+        rest = kernel._nested(objs[k + 1:])
+        points.append(compose(projection(0, o, rest), walk))
+        walk = compose(projection(1, o, rest), walk)
+    return points + [walk]
+
+
+def _random_wiring(rng, objs, depth=3):
+    """A recipe of a random wiring over the points of `objs`, and its codomain."""
+    k = rng.randrange(len(objs))
+    if depth == 0 or rng.random() < 0.25:
+        return ("pt", k), objs[k]
+    recipe, cod = _random_wiring(rng, objs, depth - 1)
+    move = rng.choice(["pair", "proj", "swap", "id"])
+    if move == "pair":
+        other, cod2 = _random_wiring(rng, objs, depth - 1)
+        return ("pair", recipe, other), Product(cod, cod2)
+    if move == "proj" and isinstance(cod, Product):
+        i = rng.randrange(2)
+        return ("proj", i, recipe), (cod.left, cod.right)[i]
+    if move == "swap" and isinstance(cod, Product):
+        return ("swap", recipe), Product(cod.right, cod.left)
+    return ("id", recipe), cod
+
+
+def _build(cat, points, recipe):
+    tag, *args = recipe
+    if tag == "pt":
+        return points[args[0]]
+    if tag == "pair":
+        return cat.pair(_build(cat, points, args[0]), _build(cat, points, args[1]))
+    m = _build(cat, points, args[-1])
+    if tag == "id":
+        return cat.compose(cat.identity(m.cod), m)
+    left, right = m.cod.left, m.cod.right
+    if tag == "proj":
+        return cat.compose(cat.proj(args[0], left, right), m)
+    return cat.compose(cat.pair(cat.proj(1, left, right), cat.proj(0, left, right)), m)
+
+
+@pytest.mark.parametrize("texts", [
+    ["Z7", "Z7", "Z7"],
+    ["(Z5 x Z5)", "(Z5 x Z5)"],
+    ["(Z4 x Z6)", "(Z4 x Z6)"],
+    ["Stream(Z3,2)", "Stream(Z3,2)", "Stream(Z3,2)"],
+    ["Z4", "(Z5 x Z5)", "Stream(Z3,2)"],
+], ids=lambda texts: " ; ".join(texts))
+def test_a_wiring_matches_its_nodes_and_its_closure(texts):
+    # the fused pass against the per-node batches (a cat that shares nothing
+    # builds no wiring) and the closure, at every code of the stage
+    objs = [parse_space(t) for t in texts]
+    cat, unshared = BaseCat(fd), _Unshared(fd)
+    stage, points = cat.generic_points(objs)
+    plain = _plain_points(stage, objs)
+    last = len(objs) - 1
+    rng = random.Random(" ; ".join(texts))
+    recipes = [("pair", ("pt", 0), ("pt", 0)), ("pair", ("pt", last), ("pt", 0))]
+    recipes += [_random_wiring(rng, objs)[0] for _ in range(12)]
+    codes = np.arange(codec_size(stage), dtype=np.int64)
+    chunk = np.random.default_rng(1).permutation(codes)[:100]
+    for recipe in recipes:
+        wired, nodes = _build(cat, points, recipe), _build(unshared, plain, recipe)
+        assert isinstance(wired, Wiring) and not isinstance(nodes, Wiring), recipe
+        want = [encode(wired.cod, wired.fn(decode(stage, int(i)))) for i in codes]
+        wire = wiring_codes(stage, wired.cols)
+        assert (wire is None) == (not wired.moves) == (want == codes.tolist()), recipe
+        assert (codes if wire is None else wire(codes)).tolist() == want, recipe
+        assert codes_at(nodes, codes).tolist() == want, recipe
+        assert codes_at(wired, chunk).tolist() == [want[i] for i in chunk], recipe
+
+
+def test_the_identity_on_codes_gives_the_request_itself(monkeypatch):
+    # CdC7a's <<x,y>,<z,w>> into (A x A) x (A x A) has the stage's codes, so
+    # d2f is read at the chunk's own codes
+    a = parse_space("(Z5 x Z5)")
+    cat = BaseCat(fd)
+    (f,) = fd.random_subjects(a, 1, seed=3)
+    ((_, lhs, _),) = axiom_sides(cat, fd, "CdC7a", [f])
+    stage, (x, y, z, w) = cat.generic_points([a] * 4)
+    wire = cat.pair(cat.pair(x, y), cat.pair(z, w))
+    idx = np.arange(MAX_CHUNK, 2 * MAX_CHUNK, dtype=np.int64)
+    assert not wire.moves and wire.table_builder(idx) is idx and codes_at(wire, idx) is idx
+    d2, reads = fd.derivative(fd.derivative(f)), []
+    read = kernel.codes_at
+    monkeypatch.setattr(kernel, "codes_at", lambda m, i=None: reads.append((m, i)) or read(m, i))
+    codes_at(lhs, idx)
+    assert any(m is d2 and i is idx for m, i in reads)
+    assert wire.table is None and not idx.flags.writeable  # a builder cannot write into it
+
+
+def _count_tabulations(monkeypatch):
+    calls = []
+    real = morphisms.tabulate
+    monkeypatch.setattr(morphisms, "tabulate", lambda m: calls.append(m) or real(m))
+    return calls
+
+
+def _cdc7a_pool(strat, subjects=3):
+    """CdC7a for `subjects` subjects on (Z5 x Z5), sharing one BaseCat: its
+    wiring <<x,z>,<y,w>>, and whether that had a table after each subject."""
+    a = parse_space("(Z5 x Z5)")
+    cat = BaseCat(fd)
+    stage, (x, y, z, w) = cat.generic_points([a] * 4)
+    assert codec_size(stage) > BLOCK
+    swap, tabled = cat.pair(cat.pair(x, z), cat.pair(y, w)), []
+    for f in fd.random_subjects(a, subjects, seed=11):
+        tabulate(fd.derivative(fd.derivative(f)))  # as CdC6 leaves it in a run
+        ((_, lhs, rhs),) = axiom_sides(cat, fd, "CdC7a", [f])
+        assert morphisms_equal(lhs, rhs, strat).passed
+        tabled.append(swap.table is not None)
+    return swap, tabled
+
+
+def test_a_pool_tabulates_a_large_wiring_once_a_second_subject_reads_it(monkeypatch):
+    calls = _count_tabulations(monkeypatch)
+    swap, tabled = _cdc7a_pool(EqualityStrategy(Exhaustive(), bound=10**6))
+    assert tabled == [False, True, True] and sum(m is swap for m in calls) == 1
+    assert swap.table.dtype == np.uint32  # 390,625 codes of (A x A) x (A x A)
+    assert not any(isinstance(m, Wiring) and m is not swap for m in calls)
+
+
+def test_a_pool_of_one_subject_never_tabulates_a_large_wiring(monkeypatch):
+    calls = _count_tabulations(monkeypatch)
+    swap, tabled = _cdc7a_pool(EqualityStrategy(Exhaustive(), bound=10**6), subjects=1)
+    assert tabled == [False] and swap.given == 5 ** 8
+    assert not any(isinstance(m, Wiring) for m in calls)
+
+
+def test_a_sampled_comparison_never_tabulates_a_large_wiring(monkeypatch):
+    calls = _count_tabulations(monkeypatch)
+    swap, tabled = _cdc7a_pool(EqualityStrategy(Sampled(FIRST_CHUNK + MAX_CHUNK + 100, 5)))
+    assert tabled == [False] * 3 and not any(isinstance(m, Wiring) for m in calls)

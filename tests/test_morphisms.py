@@ -5,7 +5,7 @@ import pytest
 
 from diffkit.cli import main
 
-from diffkit.errors import DomainMismatch, SizeExceeded
+from diffkit.errors import DiffkitError, DomainMismatch, InternalError, SizeExceeded
 from diffkit.kernel import add, compose, identity, pair, projection, zero_map
 from diffkit.models import get_model
 from diffkit.morphisms import (
@@ -57,6 +57,21 @@ def test_counterexample_is_first_in_order():
     rep = morphisms_equal(f, g, EX)
     assert not rep.passed
     assert rep.counterexample["input"] == 0
+
+
+def test_batches_that_disagree_with_their_closures_are_an_internal_error():
+    # the builder lies at code 3; the closures, the ground truth, agree there
+    def lie(idx=None):
+        codes = np.arange(7, dtype=np.int64) if idx is None else idx.copy()
+        codes[codes == 3] = 4
+        return codes
+
+    liar = Morphism(Z7, Z7, lambda x: x, name="liar", table_builder=lie)
+    with pytest.raises(InternalError) as err:
+        morphisms_equal(liar, identity(Z7), EX)
+    assert isinstance(err.value, RuntimeError) and not isinstance(err.value, DiffkitError)
+    assert "at 3" in str(err.value) and "<liar: Z7 -> Z7>" in str(err.value)
+    assert "<id: Z7 -> Z7>" in str(err.value)
 
 
 def test_domain_mismatch_raises():

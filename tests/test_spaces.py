@@ -37,7 +37,9 @@ from diffkit.spaces import (
     v_add,
     v_neg,
     v_scale,
+    v_splice0,
     v_sub,
+    v_trunc,
     zero_elem,
 )
 
@@ -237,6 +239,19 @@ def test_code_arithmetic_matches_element_algebra(space, data):
     assert v_neg(space, ci).tolist() == codes(neg_elem, xs)
     for r in (-2, 0, 1, 3):
         assert v_scale(space, r, ci).tolist() == codes(scale_elem, [r] * len(xs), xs)
+
+
+@pytest.mark.parametrize("text", ["Stream(Z3,8)", "(Stream(Z3,2) x Stream(Z3,3))"])
+def test_stream_splices_on_codes_match_the_closures(text):
+    # `_digits` takes each digit's remainder as split_batch does, and none for
+    # the leading digit of the codes
+    space = parse_space(text)
+    i = np.arange(codec_size(space))
+    j = np.random.default_rng(5).permutation(i)
+    elems = [decode(space, int(k)) for k in i]
+    assert v_trunc(space, i).tolist() == [encode(space, truncate_elem(space, x)) for x in elems]
+    assert v_splice0(space, i, j).tolist() == [
+        encode(space, splice0_elem(space, x, elems[k])) for x, k in zip(elems, j)]
 
 
 def _fourth_power(a):
