@@ -4,8 +4,10 @@ Run with `python -m pytest microbench --benchmark-only`. Most groups time
 one comparison both ways: on batches (codes, coordinate arrays or float
 columns) and with sides stripped of their batch forms, on the same points
 in the same order. The rest time the layers a law check is built from:
-building an axiom's sides, one axiom over a pool of subjects (on a small
-stage, and exhaustively on a large one whose wirings the pool shares), tabulating
+building an axiom's sides, the sides of the whole suite on a fresh cat
+(where each law row is compiled on first use), one axiom over a pool of
+subjects (on a small stage, and exhaustively on a large one whose wirings
+the pool shares), tabulating
 a composite and a second derivative (in blocks), one stage compared exhaustively against the same number of
 sampled points, a whole codec stage compared exhaustively, and Kleisli
 composition under each oracle strategy.
@@ -14,9 +16,17 @@ composition under each oracle strategy.
 import numpy as np
 import pytest
 
+from diffkit.cli import SUITE_AXIOMS
 from diffkit.kernel import BaseCat, axiom_pool_report, axiom_sides, compose
 from diffkit.models import get_model
-from diffkit.monad import DEFAULT_ORACLE, T_map, kleisli_compose, random_kleisli_subjects
+from diffkit.monad import (
+    _KLEISLI_AXIOMS,
+    DEFAULT_ORACLE,
+    KleisliCat,
+    T_map,
+    kleisli_compose,
+    random_kleisli_subjects,
+)
 from diffkit.morphisms import (
     Auto,
     EqualityStrategy,
@@ -140,6 +150,27 @@ def test_axiom_sides_cdc7a(benchmark, spec, text):
 
     ((_, lhs, _),) = benchmark.pedantic(axiom_sides, setup=setup, rounds=20, iterations=1)
     assert len(leaves(lhs.dom)) == 4
+
+
+@pytest.mark.parametrize("kleisli", [False, True], ids=["BaseCat", "KleisliCat"])
+def test_law_table_compile(benchmark, kleisli):
+    # the sides of the whole suite for one subject pair on findiff Z7, on a
+    # fresh cat: each law row is compiled (typed, its steps hash-consed) on
+    # first use and run once; in the Kleisli category every composition
+    # also runs its self-check oracle
+    benchmark.group = "the suite's sides on a fresh cat, findiff Z7"
+    model, space = get_model("findiff"), parse_space("Z7")
+    axioms = _KLEISLI_AXIOMS if kleisli else SUITE_AXIOMS
+
+    def setup():  # fresh subjects too: derivatives are memoized on their subject
+        if kleisli:
+            return (KleisliCat(model), random_kleisli_subjects(model, space, 2, 42)), {}
+        return (BaseCat(model), model.random_subjects(space, 2, 42)), {}
+
+    def suite(cat, subjects):
+        return [axiom_sides(cat, model, axiom, subjects) for axiom in axioms]
+
+    assert len(benchmark.pedantic(suite, setup=setup, rounds=20, iterations=1)) == len(axioms)
 
 
 @pytest.mark.benchmark(group="CdC2 over a pool of 50 subjects on Z7")

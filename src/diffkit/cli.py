@@ -18,7 +18,7 @@ import time
 
 from .changeaction import check_cad_derivative, check_change_action, induced_action
 from .errors import DiffkitError, InvalidArgument
-from .kernel import (AXIOM_IDS, FLATNESS_IDS, DifferenceModel, axiom_pool_report,
+from .kernel import (AXIOM_IDS, FLATNESS_IDS, BaseCat, DifferenceModel, axiom_pool_report,
                      check_flatness, pool_report)
 from .lambda_closed import run_lambda_suite
 from .models import get_model, load_table_primitive, read_table_json
@@ -254,10 +254,15 @@ def _emit(args, command: str, model_tag: str, seed: int,
 
 
 def _resolve_seed(args) -> int:
+    """`DIFFKIT_SEED` when it is set, else `--seed`: an integer of at least 0."""
     env = os.environ.get("DIFFKIT_SEED")
-    if env is not None:
-        return int(env)
-    return args.seed
+    try:
+        seed = args.seed if env is None else int(env)
+    except ValueError:
+        raise InvalidArgument(f"DIFFKIT_SEED must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise InvalidArgument(f"the seed must be at least 0, got {seed}")
+    return seed
 
 
 def _setup(args):
@@ -327,10 +332,10 @@ def run_check(
             results.append(check_change_action(ca, strat, model.tag, pair_subjects))
             continue
         if ax == "CAD":
-            ca = induced_action(model, space)
+            ca, cat = induced_action(model, space), BaseCat(model)
             results.append(pool_report(
                 pool, lambda f, _: check_cad_derivative(f, model.derivative(f), ca, ca,
-                                                        strat, model.tag),
+                                                        strat, model.tag, cat),
                 "random subjects"))
             continue
         if ax in FLATNESS_IDS:

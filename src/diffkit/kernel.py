@@ -6,13 +6,14 @@ infinitesimal extension `epsilon` and a difference combinator
 `derivative`; the axiom checkers below turn the coherence laws of a
 Cartesian difference category into extensional morphism equalities.
 
-Axiom schemas are written once against a small category interface
-(`BaseCat` here, a Kleisli adapter in `monad`), so the same code
-checks the base models and the Kleisli category of the tangent bundle
-monad. Generalized points x, y, z, w inside a schema are tautological
-projections from a product stage, which makes pointwise equality over
-the stage equivalent to quantifying the law over sampled/enumerated
-element points.
+The laws are rows of one table, `terms.LAWS`, written as term equations;
+`axiom_sides` binds an axiom's subjects as its row says, and one evaluator
+(`terms.law_sides`) builds both sides through a small category interface:
+`BaseCat` here, a Kleisli adapter in `monad`. So the same rows check the
+base models and the Kleisli category of the tangent bundle monad.
+Generalized points x, y, z, w inside a law are tautological projections
+from a product stage, which makes pointwise equality over the stage
+equivalent to quantifying the law over sampled/enumerated element points.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .spaces import (
     v_neg,
     zero_elem,
 )
+from .terms import LAWS, law_sides
 
 
 def _filled(dom: Space, cod: Space, idx, value) -> np.ndarray:
@@ -297,7 +299,7 @@ def oplus(model: DifferenceModel, f: Morphism, g: Morphism) -> Morphism:
 
 
 # ---------------------------------------------------------------------------
-# the category interface the axiom schemas are written against
+# the category interface the laws are evaluated through
 
 
 class BaseCat:
@@ -315,12 +317,19 @@ class BaseCat:
     A memo value that only selects coordinates (an identity, a projection,
     or a composite or pair of such maps) is kept as a wiring
     (`morphisms.Wiring`), which reads none of the maps it is built from.
+
+    `compiled` holds the laws `terms.law_sides` compiled on this cat.
+    Because the cat `shares` its structure maps, a compiled law builds the
+    subject-free ones it reads once, and keeps them with the memo.
     """
+
+    shares = True
 
     def __init__(self, model: DifferenceModel):
         self.model = model
         self._memo: dict = {}
         self._kept: set[int] = set()  # ids of memo values, which the memo keeps alive
+        self.compiled: dict = {}
 
     def _cons(self, build: Callable, *args):
         """`build(*args)`, memoized when every morphism among `args` is."""
@@ -332,12 +341,6 @@ class BaseCat:
             out = self._memo[key] = _as_wiring(build(*args), build, args)
             self._kept.add(id(out))
         return out
-
-    def dom(self, f):
-        return f.dom
-
-    def cod(self, f):
-        return f.cod
 
     def identity(self, a):
         return self._cons(identity, a)
@@ -366,8 +369,12 @@ class BaseCat:
     def derivative(self, f):
         return self.model.derivative(f)
 
-    def obj_product(self, a, b):
-        return Product(a, b)
+    def primitive(self, name, a):
+        return self.model.primitive(name, a)
+
+    def stage(self, objs: Sequence[Space]) -> Space:
+        """The stage of the generic points of `objs`, without building them."""
+        return _nested(objs)
 
     def generic_points(self, objs: Sequence[Space]):
         """A stage object and tautological points covering objs elementwise."""
@@ -381,9 +388,6 @@ class BaseCat:
 
     def equal(self, f, g, strat):
         return morphisms_equal(f, g, strat)
-
-    def describe(self, f):
-        return f.name
 
 
 def _nested(objs: Sequence[Space]) -> Space:
@@ -429,317 +433,31 @@ def _as_wiring(m: Morphism, build: Callable, args: tuple) -> Morphism:
 
 
 # ---------------------------------------------------------------------------
-# axiom schemas: each returns (label, lhs, rhs) morphism pairs
-
-
-def _d(cat, f):
-    return cat.derivative(f)
-
-
-def _e(cat, f):
-    return cat.epsilon(f)
-
-
-def sides_cdc0(cat, f):
-    a = cat.dom(f)
-    stage, (x, y) = cat.generic_points([a, a])
-    lhs = cat.compose(f, cat.add(x, _e(cat, y)))
-    rhs = cat.add(cat.compose(f, x), _e(cat, cat.compose(_d(cat, f), cat.pair(x, y))))
-    return [("f(x+eps y) = f x + eps(df<x,y>)", lhs, rhs)]
-
-
-def sides_cdc1(cat, f, g):
-    a, b = cat.dom(f), cat.cod(f)
-    out = [
-        ("d[f+g] = d[f]+d[g]", _d(cat, cat.add(f, g)), cat.add(_d(cat, f), _d(cat, g))),
-        ("d[0] = 0", _d(cat, cat.zero(a, b)), cat.zero(cat.obj_product(a, a), b)),
-        ("d[eps f] = eps d[f]", _d(cat, _e(cat, f)), _e(cat, _d(cat, f))),
-    ]
-    return out
-
-
-def sides_cdc2(cat, f):
-    a, b = cat.dom(f), cat.cod(f)
-    df = _d(cat, f)
-    stage, (x, y, z) = cat.generic_points([a, a, a])
-    lhs = cat.compose(df, cat.pair(x, cat.add(y, z)))
-    rhs = cat.add(
-        cat.compose(df, cat.pair(x, y)),
-        cat.compose(df, cat.pair(cat.add(x, _e(cat, y)), z)),
-    )
-    stage1, (x1,) = cat.generic_points([a])
-    zero_side = cat.compose(df, cat.pair(x1, cat.zero(stage1, a)))
-    return [
-        ("df<x,y+z> = df<x,y> + df<x+eps y,z>", lhs, rhs),
-        ("df<x,0> = 0", zero_side, cat.zero(stage1, b)),
-    ]
-
-
-def sides_cdc2_additivity(cat, f):
-    a, b = cat.dom(f), cat.cod(f)
-    df = _d(cat, f)
-    stage, (x, y, z) = cat.generic_points([a, a, a])
-    lhs = cat.compose(df, cat.pair(x, cat.add(y, z)))
-    rhs = cat.add(cat.compose(df, cat.pair(x, y)), cat.compose(df, cat.pair(x, z)))
-    stage1, (x1,) = cat.generic_points([a])
-    zero_side = cat.compose(df, cat.pair(x1, cat.zero(stage1, a)))
-    return [
-        ("df<x,y+z> = df<x,y> + df<x,z>", lhs, rhs),
-        ("df<x,0> = 0", zero_side, cat.zero(stage1, b)),
-    ]
-
-
-def sides_cdc3(cat, a):
-    p = cat.obj_product(a, a)
-    p1 = cat.proj(1, p, p)
-    return [
-        ("d[1] = pi1",
-         _d(cat, cat.identity(a)), cat.proj(1, a, a)),
-        ("d[pi0] = pi0.pi1",
-         _d(cat, cat.proj(0, a, a)), cat.compose(cat.proj(0, a, a), p1)),
-        ("d[pi1] = pi1.pi1",
-         _d(cat, cat.proj(1, a, a)), cat.compose(cat.proj(1, a, a), p1)),
-    ]
-
-
-def sides_cdc4(cat, f, g):
-    a = cat.dom(f)
-    ta = cat.obj_product(a, a)
-    return [
-        ("d<f,g> = <d f,d g>",
-         _d(cat, cat.pair(f, g)), cat.pair(_d(cat, f), _d(cat, g))),
-        ("d[!] = !", _d(cat, cat.terminal(a)), cat.terminal(ta)),
-    ]
-
-
-def sides_cdc5(cat, g, f):
-    a = cat.dom(f)
-    p0 = cat.proj(0, a, a)
-    lhs = _d(cat, cat.compose(g, f))
-    rhs = cat.compose(_d(cat, g), cat.pair(cat.compose(f, p0), _d(cat, f)))
-    return [("chain rule", lhs, rhs)]
-
-
-def _second(cat, f):
-    return _d(cat, _d(cat, f))
-
-
-def sides_cdc6(cat, f):
-    a = cat.dom(f)
-    d2 = _second(cat, f)
-    stage, (x, y, z) = cat.generic_points([a, a, a])
-    zero = cat.zero(stage, a)
-    lhs = cat.compose(d2, cat.pair(cat.pair(x, y), cat.pair(zero, z)))
-    rhs = cat.compose(_d(cat, f), cat.pair(cat.add(x, _e(cat, y)), z))
-    return [("d2f<<x,y>,<0,z>> = df<x+eps y,z>", lhs, rhs)]
-
-
-def sides_cdc7(cat, f):
-    a = cat.dom(f)
-    d2 = _second(cat, f)
-    stage, (x, y, z) = cat.generic_points([a, a, a])
-    zero = cat.zero(stage, a)
-    lhs = cat.compose(d2, cat.pair(cat.pair(x, y), cat.pair(z, zero)))
-    rhs = cat.compose(d2, cat.pair(cat.pair(x, z), cat.pair(y, zero)))
-    return [("d2f<<x,y>,<z,0>> = d2f<<x,z>,<y,0>>", lhs, rhs)]
-
-
-def sides_cdc6a(cat, f):
-    a = cat.dom(f)
-    d2 = _second(cat, f)
-    stage, (x, y) = cat.generic_points([a, a])
-    zero = cat.zero(stage, a)
-    lhs = cat.compose(d2, cat.pair(cat.pair(x, zero), cat.pair(zero, y)))
-    rhs = cat.compose(_d(cat, f), cat.pair(x, y))
-    return [("d2f<<x,0>,<0,y>> = df<x,y>", lhs, rhs)]
-
-
-def sides_cdc7a(cat, f):
-    a = cat.dom(f)
-    d2 = _second(cat, f)
-    stage, (x, y, z, w) = cat.generic_points([a, a, a, a])
-    lhs = cat.compose(d2, cat.pair(cat.pair(x, y), cat.pair(z, w)))
-    rhs = cat.compose(d2, cat.pair(cat.pair(x, z), cat.pair(y, w)))
-    return [("d2f<<x,y>,<z,w>> = d2f<<x,z>,<y,w>>", lhs, rhs)]
-
-
-def sides_e1(cat, f, g):
-    a, b = cat.dom(f), cat.cod(f)
-    return [
-        ("eps(f+g) = eps f + eps g",
-         _e(cat, cat.add(f, g)), cat.add(_e(cat, f), _e(cat, g))),
-        ("eps 0 = 0", _e(cat, cat.zero(a, b)), cat.zero(a, b)),
-    ]
-
-
-def sides_e2(cat, g, f):
-    lhs = _e(cat, cat.compose(g, f))
-    rhs = cat.compose(_e(cat, g), f)
-    return [("eps(g.f) = eps(g).f", lhs, rhs)]
-
-
-def sides_e3(cat, f, g):
-    a, b = cat.cod(f), cat.cod(g)
-    ab = cat.obj_product(a, b)
-    eid = _e(cat, cat.identity(ab))
-    out = [
-        ("eps pi0 = pi0 . eps(1)",
-         _e(cat, cat.proj(0, a, b)), cat.compose(cat.proj(0, a, b), eid)),
-        ("eps pi1 = pi1 . eps(1)",
-         _e(cat, cat.proj(1, a, b)), cat.compose(cat.proj(1, a, b), eid)),
-        ("eps<f,g> = <eps f,eps g>",
-         _e(cat, cat.pair(f, g)), cat.pair(_e(cat, f), _e(cat, g))),
-    ]
-    return out
-
-
-def sides_deps_i(cat, f):
-    a = cat.dom(f)
-    df = _d(cat, f)
-    stage, (x, y) = cat.generic_points([a, a])
-    lhs = cat.compose(df, cat.pair(x, _e(cat, y)))
-    rhs = cat.compose(_e(cat, df), cat.pair(x, y))
-    return [("df<x,eps y> = eps(df)<x,y>", lhs, rhs)]
-
-
-def sides_deps_ii(cat, f):
-    a = cat.dom(f)
-    edf = _e(cat, _d(cat, f))
-    stage, (x, y, z) = cat.generic_points([a, a, a])
-    lhs = cat.compose(edf, cat.pair(cat.add(x, _e(cat, y)), z))
-    rhs = cat.compose(edf, cat.pair(cat.add(x, _e(cat, _e(cat, y))), z))
-    return [("eps(df)<x+eps y,z> = eps(df)<x+eps^2 y,z>", lhs, rhs)]
-
-
-def _eps_pow(cat, f, k):
-    for _ in range(k):
-        f = _e(cat, f)
-    return f
-
-
-def _d2_corner(cat, f):
-    """The shared argument <<x,y>,<z,0>> over a three-point stage."""
-    a = cat.dom(f)
-    stage, (x, y, z) = cat.generic_points([a, a, a])
-    arg = cat.pair(cat.pair(x, y), cat.pair(z, cat.zero(stage, a)))
-    return arg
-
-
-def sides_deps_iii(cat, f):
-    d2 = _second(cat, f)
-    arg = _d2_corner(cat, f)
-    lhs = cat.compose(_eps_pow(cat, d2, 2), arg)
-    rhs = cat.compose(_eps_pow(cat, d2, 3), arg)
-    return [("eps^2(d2f) = eps^3(d2f) on <<x,y>,<z,0>>", lhs, rhs)]
-
-
-def sides_eq1_strong(cat, f):
-    d2 = _second(cat, f)
-    arg = _d2_corner(cat, f)
-    lhs = cat.compose(_eps_pow(cat, d2, 1), arg)
-    rhs = cat.compose(_eps_pow(cat, d2, 2), arg)
-    return [("eps(d2f) = eps^2(d2f) on <<x,y>,<z,0>>", lhs, rhs)]
-
-
-def sides_linearity(cat, f):
-    a = cat.dom(f)
-    lhs = _d(cat, f)
-    rhs = cat.compose(f, cat.proj(1, a, a))
-    return [("d[f] = f.pi1", lhs, rhs)]
-
-
-def sides_eps_linearity(cat, f):
-    return sides_linearity(cat, _e(cat, f))
-
-
-def sides_eps_vanishing(cat, a):
-    return [("eps(1) = 0", _e(cat, cat.identity(a)), cat.zero(a, a))]
-
-
-def sides_f2(cat, a, model):
-    op = model.oplus_map(a)
-    pl = model.plus_map(a)
-    p = Product(a, a)
-    p1 = projection(1, p, p)
-    return [
-        ("d[oplus] = oplus.pi1", cat.derivative(op), cat.compose(op, p1)),
-        ("d[plus] = plus.pi1", cat.derivative(pl), cat.compose(pl, p1)),
-    ]
-
-
-def sides_oplus_eps(cat, f, g, model):
-    """f (+) g computed through the action map versus f + eps(g)."""
-    a = cat.cod(f)
-    lhs = cat.compose(model.oplus_map(a), cat.pair(f, g))
-    rhs = cat.add(f, _e(cat, g))
-    return [("oplus<f,g> = f + eps g", lhs, rhs)]
-
-
-# ---------------------------------------------------------------------------
-# axiom dispatch
+# axiom dispatch: the laws themselves are rows of `terms.LAWS`
 
 FLATNESS_IDS = ("F1", "F2", "F3", "F4", "OplusEps")
-AXIOM_IDS = [
-    "CdC0", "CdC1", "CdC2", "CdC3", "CdC4", "CdC5", "CdC6", "CdC7",
-    "CdC6a", "CdC7a", "E1", "E2", "E3", "CDC2-additivity",
-    "DEps-i", "DEps-ii", "DEps-iii", "Eq1-strong",
-    "Linearity", "EpsLinearity", "EpsVanishing",
-    *FLATNESS_IDS,
-]
-
-# arity: how many subject morphisms a schema consumes ("space" = per-object)
-_AXIOM_TABLE = {
-    "CdC0": (sides_cdc0, 1),
-    "CdC1": (sides_cdc1, 2),
-    "CdC2": (sides_cdc2, 1),
-    "CdC3": (sides_cdc3, "space"),
-    "CdC4": (sides_cdc4, 2),
-    "CdC5": (sides_cdc5, 2),
-    "CdC6": (sides_cdc6, 1),
-    "CdC7": (sides_cdc7, 1),
-    "CdC6a": (sides_cdc6a, 1),
-    "CdC7a": (sides_cdc7a, 1),
-    "E1": (sides_e1, 2),
-    "E2": (sides_e2, 2),
-    "E3": (sides_e3, 2),
-    "CDC2-additivity": (sides_cdc2_additivity, 1),
-    "DEps-i": (sides_deps_i, 1),
-    "DEps-ii": (sides_deps_ii, 1),
-    "DEps-iii": (sides_deps_iii, 1),
-    "Eq1-strong": (sides_eq1_strong, 1),
-    "Linearity": (sides_linearity, 1),
-    "EpsLinearity": (sides_eps_linearity, 1),
-    "EpsVanishing": (sides_eps_vanishing, "space"),
-}
+AXIOM_IDS = [*(ax for ax, law in LAWS.items() if law.arity is not None), *FLATNESS_IDS]
 
 
 def axiom_sides(cat, model, axiom: str, subjects: Sequence[Morphism]):
+    """The `(label, lhs, rhs)` clauses of one axiom on its subjects, bound as
+    the axiom's row in `terms.LAWS` says."""
     if axiom in FLATNESS_IDS:
         raise ShapeMismatch(f"{axiom} is handled by check_flatness")
-    if axiom not in _AXIOM_TABLE:
+    law = LAWS.get(axiom)
+    if law is None or law.arity is None:
         raise ShapeMismatch(f"unknown axiom id {axiom!r}")
-    schema, arity = _AXIOM_TABLE[axiom]
-    if arity == "space":
-        space = subjects[0].dom if subjects else model.default_space
-        return schema(cat, space)
-    if arity == 1:
-        if not subjects:
-            raise ShapeMismatch(f"{axiom} needs one subject morphism")
-        return schema(cat, subjects[0])
-    # arity 2: reuse the single subject when only one is supplied
-    f = subjects[0]
-    g = subjects[1] if len(subjects) > 1 else subjects[0]
-    if axiom in ("CdC5", "E2"):
-        if f.cod != g.dom and g.cod == f.dom:
+    if law.arity == "space":
+        return law_sides(cat, axiom, {"A": subjects[0].dom if subjects else model.default_space})
+    if not subjects:
+        raise ShapeMismatch(f"{axiom} needs one subject morphism")
+    f, env = subjects[0], {}
+    if law.arity == 2:
+        g = subjects[1] if len(subjects) > 1 else f
+        if law.swap and f.cod != g.dom and g.cod == f.dom:
             f, g = g, f
-        if f.cod != g.dom:
-            raise ShapeMismatch(f"{axiom} needs composable subjects")
-        return schema(cat, g, f)  # schema signature: (cat, g, f)
-    if axiom in ("CdC1", "E1") and (f.dom != g.dom or f.cod != g.cod):
-        raise ShapeMismatch(f"{axiom} needs parallel subjects")
-    if axiom == "CdC4" and f.dom != g.dom:
-        raise ShapeMismatch("CdC4 needs subjects with a shared domain")
-    return schema(cat, f, g)
+        env = {"g": g, "C": g.cod}
+    return law_sides(cat, axiom, dict(env, f=f, A=f.dom, B=f.cod))
 
 
 def check_axiom(
@@ -788,7 +506,7 @@ def axiom_pool_report(model: DifferenceModel, axiom: str, pool: Sequence, strat:
     of arity "space" (CdC3, EpsVanishing) reads only its subjects' domain: on
     a pool that shares one it runs for the first subject alone and counts
     once per subject."""
-    once = _AXIOM_TABLE.get(axiom, (None, 1))[1] == "space" and all(
+    once = axiom in LAWS and LAWS[axiom].arity == "space" and all(
         f.dom == pool[0].dom for f in pool)
     cat = cat or BaseCat(model)
     rep = pool_report(pool[:1] if once else pool,
@@ -823,8 +541,7 @@ def is_linear(
     f: Morphism,
     strat: EqualityStrategy = DEFAULT_STRATEGY,
 ) -> tuple[bool, LawReport]:
-    cat = BaseCat(model)
-    pairs = sides_linearity(cat, f)
+    pairs = axiom_sides(BaseCat(model), model, "Linearity", [f])
     rep = report_from_equalities("Linearity", model.tag, f.name, pairs, strat)
     if rep.passed and not is_group_homomorphism(f, strat):
         # a linear map must be additive; surfacing the inconsistency beats hiding it
@@ -905,6 +622,9 @@ def check_flatness(
     counterexample = None
     verdict = None
 
+    def oplus_eps(f, g):
+        return law_sides(cat, "OplusEps", {"f": f, "g": g, "oplusA": model.oplus_map(f.cod)})
+
     def run(pairs, label):
         nonlocal checked, violations, counterexample
         rep = report_from_equalities(label, model.tag, format_space(space), pairs, strat)
@@ -917,7 +637,8 @@ def check_flatness(
         if part == "F1":
             checked += 1  # delta = base by construction of the induced action
         elif part == "F2":
-            run(sides_f2(cat, space, model), "F2")
+            run(law_sides(cat, "F2", {"oplusA": model.oplus_map(space),
+                                      "plusA": model.plus_map(space)}), "F2")
         elif part == "F3":
             prims = []
             for name in model.primitive_names():
@@ -929,13 +650,7 @@ def check_flatness(
                     prims.append(p)
             if prims:
                 # the map-flatness condition eps(d f) = d f<x,eps y>
-                p0, p1 = projection(0, space, space), projection(1, space, space)
-                pairs = []
-                for p in prims:
-                    dp = cat.derivative(p)
-                    pairs.append((f"eps(d {p.name}) = d {p.name}<x,eps y>", cat.epsilon(dp),
-                                  cat.compose(dp, cat.pair(p0, cat.epsilon(p1)))))
-                run(pairs, "F3")
+                run([c for p in prims for c in law_sides(cat, "F3", {"f": p})], "F3")
         elif part == "F4":
             ok, n, cx, verd = _right_injectivity(model, space, strat)
             checked += n
@@ -949,10 +664,10 @@ def check_flatness(
             f = identity(space)
             g = model.epsilon(identity(space))
             g.name = "eps(id)"
-            run(sides_oplus_eps(cat, f, g, model), "OplusEps")
+            run(oplus_eps(f, g), "OplusEps")
             subs = model.random_subjects(space, 2, derive_seed(strat.seed, "oplus-eps"))
             if len(subs) == 2:
-                run(sides_oplus_eps(cat, subs[0], subs[1], model), "OplusEps")
+                run(oplus_eps(*subs), "OplusEps")
 
     return LawReport(
         axiom="+".join(parts),

@@ -12,9 +12,11 @@ closed form is the easiest place to get wrong, every call cross-checks
 the two under an oracle strategy (8 sampled points unless the caller
 passes another).
 
-The Kleisli category is itself a difference category: `KleisliCat`
-adapts it to the axiom schemas in `kernel`, with generalized points of
-A taken as base maps into T(A).
+The monad's laws are rows of `terms.LAWS`, where `T`, `eta`, `mu` and
+`phi` are part of the syntax; `TangentCat` builds them with the functions
+below. The Kleisli category is itself a difference category: `KleisliCat`
+runs the axiom rows of `kernel` there, with generalized points of A taken
+as base maps into T(A).
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .morphisms import (
     report_from_equalities,
 )
 from .spaces import Product, Space, TERMINAL, format_space
+from .terms import law_sides
 
 DEFAULT_ORACLE = EqualityStrategy(Sampled(8, 1009))
 
@@ -100,19 +103,28 @@ def phi_inv(a: Space, b: Space) -> Morphism:
     return m
 
 
+class TangentCat(BaseCat):
+    """`BaseCat` with the monad's structure maps, for the laws of the monad
+    (`terms.LAWS`): `T`, `eta`, `mu` and `phi`, built by the functions
+    above and hash-consed like the rest."""
+
+    def T(self, f):
+        return self._cons(T_map, self.model, f)
+
+    def eta(self, a):
+        return self._cons(eta, self.model, a)
+
+    def mu(self, a):
+        return self._cons(mu, self.model, a)
+
+    def phi(self, a, b):
+        return self._cons(phi, a, b)
+
+
 def check_monad_laws(
     model: DifferenceModel, a: Space, strat: EqualityStrategy = DEFAULT_STRATEGY
 ) -> LawReport:
-    ta = T_space(a)
-    pairs = [
-        ("mu . eta_T = 1", compose(mu(model, a), eta(model, ta)), identity(ta)),
-        ("mu . T(eta) = 1", compose(mu(model, a), T_map(model, eta(model, a))), identity(ta)),
-        (
-            "mu . mu_T = mu . T(mu)",
-            compose(mu(model, a), mu(model, ta)),
-            compose(mu(model, a), T_map(model, mu(model, a))),
-        ),
-    ]
+    pairs = law_sides(TangentCat(model), "MonadLaws", {"A": a})
     return report_from_equalities("MonadLaws", model.tag, format_space(a), pairs, strat)
 
 
@@ -123,39 +135,11 @@ def check_tangent_identities(
     strat: EqualityStrategy = DEFAULT_STRATEGY,
 ) -> LawReport:
     """Naturality of eta and mu plus the T/derivative interplay identities."""
-    pairs = []
-    ta = T_space(a)
-    for f in subjects:
-        tf = T_map(model, f)
-        pairs.append((f"T({f.name}).eta = eta.{f.name}",
-                      compose(tf, eta(model, f.dom)), compose(eta(model, f.cod), f)))
-        t2f = T_map(model, tf)
-        pairs.append((f"mu.T^2({f.name}) = T({f.name}).mu",
-                      compose(mu(model, f.cod), t2f), compose(tf, mu(model, f.dom))))
-        pairs.append((f"T(d[{f.name}]) = d[T({f.name})].phi",
-                      T_map(model, model.derivative(f)),
-                      compose(model.derivative(tf), phi(f.dom, f.dom))))
-        pairs.append((f"T(eps {f.name}) = eps T({f.name})",
-                      T_map(model, model.epsilon(f)), model.epsilon(tf)))
+    cat = TangentCat(model)
+    pairs = [c for f in subjects for c in law_sides(cat, "Tangent-f", {"f": f})]
     if len(subjects) >= 2:
-        f, g = subjects[0], subjects[1]
-        pairs.append(("T(f+g) = T(f)+T(g)",
-                      T_map(model, add(f, g)), add(T_map(model, f), T_map(model, g))))
-    pairs.append(("T(0) = 0",
-                  T_map(model, zero_map(a, a)), zero_map(T_space(a), T_space(a))))
-    # linear maps double strictly: T(plus) = plus x plus
-    plus = model.plus_map(a)
-    pairs.append(("T(plus) = plus x plus", T_map(model, plus), product_map(plus, plus)))
-    # eps slides through the structure maps
-    m = mu(model, a)
-    pairs.append(("eps(mu) = mu . eps(1)",
-                  model.epsilon(m), compose(m, model.epsilon(identity(T_space(ta))))))
-    e = eta(model, a)
-    pairs.append(("eps(eta) = eta . eps(1)",
-                  model.epsilon(e), compose(e, model.epsilon(identity(a)))))
-    ph = phi(a, a)
-    pairs.append(("eps(phi) = phi . eps(1)",
-                  model.epsilon(ph), compose(ph, model.epsilon(identity(ph.dom)))))
+        pairs += law_sides(cat, "Tangent-fg", {"f": subjects[0], "g": subjects[1]})
+    pairs += law_sides(cat, "Tangent-A", {"A": a, "plusA": model.plus_map(a)})
     return report_from_equalities("TangentIdentities", model.tag, format_space(a), pairs, strat)
 
 
@@ -269,7 +253,7 @@ def sharp(model: DifferenceModel, k: KleisliMap) -> Morphism:
 
 
 # ---------------------------------------------------------------------------
-# the Kleisli category as an axiom-schema target
+# the Kleisli category as a target of the axiom rows
 
 
 class KleisliCat:
@@ -279,19 +263,16 @@ class KleisliCat:
     point stage for k points of A is the base product of k copies of
     T(A) with its tautological projections split into components.
     `oracle_strat` is the self-check of every composition. One `BaseCat`
-    builds the point stages, so its structure maps are shared.
+    builds the point stages, so its structure maps are shared. Kleisli maps
+    themselves are not memoized, so a law compiled on this cat (`compiled`)
+    keeps none and builds every step again for each subject.
     """
 
     def __init__(self, model: DifferenceModel, oracle_strat: EqualityStrategy = DEFAULT_ORACLE):
         self.model = model
         self.oracle_strat = oracle_strat
         self.base = BaseCat(model)
-
-    def dom(self, f):
-        return f.dom
-
-    def cod(self, f):
-        return f.cod
+        self.compiled: dict = {}
 
     def identity(self, a):
         return kleisli_identity(self.model, a)
@@ -320,8 +301,8 @@ class KleisliCat:
     def derivative(self, f):
         return kleisli_derivative(self.model, f)
 
-    def obj_product(self, a, b):
-        return Product(a, b)
+    def stage(self, objs: Sequence[Space]) -> Space:
+        return self.base.stage([T_space(o) for o in objs])
 
     def generic_points(self, objs: Sequence[Space]):
         stage, chains = self.base.generic_points([T_space(o) for o in objs])
@@ -330,9 +311,6 @@ class KleisliCat:
 
     def equal(self, f, g, strat):
         return morphisms_equal(f.as_base(), g.as_base(), strat)
-
-    def describe(self, f):
-        return f.name
 
 
 def random_kleisli_subjects(
@@ -401,11 +379,7 @@ def check_linear_algebra(
     a, nu = cand.space, cand.nu
     if nu.dom != T_space(a) or nu.cod != a:
         raise DomainMismatch("algebra map must have type T(A) -> A")
-    pairs = [
-        ("nu . eta = 1", compose(nu, eta(model, a)), identity(a)),
-        ("nu . T(nu) = nu . mu",
-         compose(nu, T_map(model, nu)), compose(nu, mu(model, a))),
-    ]
+    pairs = law_sides(TangentCat(model), "LinearAlgebra", {"nu": nu})
     linear, lin_rep = is_linear(model, nu, strat)
     rep = report_from_equalities("LinearAlgebra", model.tag, format_space(a), pairs, strat)
     rep.checked += lin_rep.checked

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diffkit import cli, monad, spaces
@@ -31,6 +31,7 @@ from diffkit.morphisms import (
     Exhaustive,
     Morphism,
     Sampled,
+    codes_at,
     domain_codes,
     morphisms_equal,
     to_jsonable,
@@ -43,6 +44,7 @@ from diffkit.spaces import (
     coords_batch,
     derive_seed,
     elements_equal,
+    enum_batch,
     flatten,
     format_space,
     has_batches,
@@ -54,7 +56,7 @@ from diffkit.spaces import (
     unflatten,
     zero_elem,
 )
-from diffkit.terms import interpret, print_term, random_term
+from diffkit.terms import interpret, random_term
 
 
 def closure_equal(f, g, strat):
@@ -177,7 +179,7 @@ def _exhaustive_fits(m, strat):
 
 
 @pytest.mark.parametrize("spec,text", CASES)
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=12, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 10**6), strat=strategies, axiom=st.sampled_from(AXIOMS))
 def test_axiom_sides_agree_with_closures(spec, text, seed, strat, axiom):
     model, space = get_model(spec), parse_space(text)
@@ -218,9 +220,26 @@ def test_first_mismatch_anywhere_in_the_test_set(spec, text, seed, strat, data):
     assert not rep.passed and rep.counterexample["input"] == to_jsonable(points[k])
 
 
+def batches(m, strat):
+    """Whether `m` gives a batch over the whole test set of `strat`. Where it
+    does not, the closures decide: the stream primitives but truncation have
+    no batch form on a space without codec, and a builder gives none where a
+    value would pass int64. Asked of a copy, so that `m` builds no table."""
+    strat = strat.resolve(m.dom)
+    if isinstance(strat.mode, Exhaustive):
+        x = enum_batch(m.dom, 0, space_size(m.dom))
+    else:
+        x = batch_sampler(m.dom, strat.mode.seed)(strat.mode.count)
+    copy = Morphism(m.dom, m.cod, m.fn, table=m.table, table_builder=m.table_builder)
+    return codes_at(copy, x) is not None
+
+
 @pytest.mark.parametrize("spec,text", CASES)
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=8, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 10**6), strat=strategies)
+# the derivative of this depth-3 term on Int[-5,5] reaches 7.66e21, past
+# int64, so its batch steps aside there
+@example(seed=148, strat=EqualityStrategy(Exhaustive(), bound=5_000))
 def test_random_terms_agree_with_closures(spec, text, seed, strat):
     model, space = get_model(spec), parse_space(text)
     t = random_term(model, space, 3, seed)
@@ -229,13 +248,9 @@ def test_random_terms_agree_with_closures(spec, text, seed, strat):
     pairs = [(m, again), (model.derivative(m), model.derivative(again))]
     if (m.dom, m.cod) == (space, space):  # a product space may type a term otherwise
         pairs += [(m, f), (compose(m, f), compose(f, m))]
-    # the stream primitives but truncation have no batch form: on a space
-    # without codec, closures decide
-    batched = not (text.startswith("Stream(Int") and any(
-        p in print_term(t) for p in ("psq", "pdbl", "pinc", "delay", "psum")))
     for lhs, rhs in pairs:
         if _exhaustive_fits(lhs, strat):
-            assert_agrees(lhs, rhs, strat, batched)
+            assert_agrees(lhs, rhs, strat, batches(lhs, strat) and batches(rhs, strat))
 
 
 # values beyond int64: the batches must step aside and leave every point to

@@ -162,6 +162,18 @@ def test_env_seed_overrides_flag(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 99
 
 
+@pytest.mark.parametrize("env, flag", [("abc", "3"), ("", "3"), (None, "-3"), ("-1", "3")])
+def test_a_bad_seed_exits_two(capsys, monkeypatch, env, flag):
+    # the report schema asks for a seed of at least 0
+    if env is not None:
+        monkeypatch.setenv("DIFFKIT_SEED", env)
+    assert main(["check", "--model", "findiff", "--space", "Z5", "--axioms", "CdC0",
+                 "--subjects", "1", "--seed", flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+
+
 def test_table_primitive_loading(capsys, tmp_path):
     prim = tmp_path / "cycle.json"
     prim.write_text(json.dumps({"space": "Z7", "table": [1, 2, 3, 4, 5, 6, 0]}))

@@ -58,6 +58,10 @@ from diffkit.spaces import (
     parse_space,
     wiring_codes,
 )
+from diffkit.terms import LAWS
+
+# the axioms `axiom_sides` binds: the rows of the law table with an arity
+AXIOMS = [ax for ax, law in LAWS.items() if law.arity is not None]
 
 Z3 = CyclicGroup(3)
 Z5 = CyclicGroup(5)
@@ -364,7 +368,7 @@ def test_a_pool_shares_its_structure_maps(monkeypatch):
     assert cat.add(f, f) is not cat.add(f, f)
 
 
-@pytest.mark.parametrize("axiom", sorted(kernel._AXIOM_TABLE))
+@pytest.mark.parametrize("axiom", sorted(AXIOMS))
 def test_the_memo_keeps_no_subject(axiom):
     cat = BaseCat(fd)
     f, g = fd.random_subjects(Z5, 2, seed=8)
@@ -379,13 +383,16 @@ def test_the_memo_keeps_no_subject(axiom):
 
 
 def test_the_kleisli_memo_keeps_no_subject():
+    # nor do the laws compiled on the cat, over every row of the table
     cat = KleisliCat(fd)
-    pool = random_kleisli_subjects(fd, Z3, 2, 5)
-    refs = [weakref.ref(k.f0) for k in pool]
-    assert axiom_pool_report(fd, "CdC2", pool, AUTO, "random kleisli subjects", cat=cat).passed
-    del pool
-    gc.collect()
-    assert [r() for r in refs] == [None, None]
+    for axiom in AXIOMS:
+        pool = random_kleisli_subjects(fd, Z3, 2, 5)
+        refs = [weakref.ref(k.f0) for k in pool]
+        rep = axiom_pool_report(fd, axiom, pool, AUTO, "random kleisli subjects", cat=cat)
+        assert rep.passed or axiom != "CdC2"
+        del pool
+        gc.collect()
+        assert [r() for r in refs] == [None, None], axiom
     assert cat.base.identity(Z3) is cat.base.identity(Z3)  # the cat, alive, keeps its own maps
 
 
@@ -412,7 +419,7 @@ def test_a_shared_cat_reports_as_fresh_cats_do(tag, text, size):
     model, space = get_model(tag), parse_space(text)
     strat = EqualityStrategy(Auto(48, 13))
     noun = "random subjects"
-    for axiom in kernel._AXIOM_TABLE:
+    for axiom in AXIOMS:
         want = _per_subject(model, axiom, model.random_subjects(space, size, 13), strat, noun)
         got = axiom_pool_report(model, axiom, model.random_subjects(space, size, 13), strat,
                                 noun)
@@ -424,7 +431,7 @@ def test_a_shared_cat_reports_as_fresh_cats_do(tag, text, size):
 def test_a_shared_kleisli_cat_reports_as_fresh_cats_do():
     strat = EqualityStrategy(Auto(48, 14))
     noun = "random kleisli subjects"
-    for axiom in kernel._AXIOM_TABLE:
+    for axiom in AXIOMS:
         want = pool_report(random_kleisli_subjects(fd, Z3, 2, 14),
                            lambda f, g: check_axiom(fd, axiom, [f, g], strat, cat=KleisliCat(fd)),
                            noun)
