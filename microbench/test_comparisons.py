@@ -17,10 +17,9 @@ import numpy as np
 import pytest
 
 from diffkit.cli import SUITE_AXIOMS
-from diffkit.kernel import BaseCat, axiom_pool_report, axiom_sides, compose
+from diffkit.kernel import COHERENCE, BaseCat, axiom_pool_report, axiom_sides, compose
 from diffkit.models import get_model
 from diffkit.monad import (
-    _KLEISLI_AXIOMS,
     DEFAULT_ORACLE,
     KleisliCat,
     T_map,
@@ -160,7 +159,7 @@ def test_law_table_compile(benchmark, kleisli):
     # also runs its self-check oracle
     benchmark.group = "the suite's sides on a fresh cat, findiff Z7"
     model, space = get_model("findiff"), parse_space("Z7")
-    axioms = _KLEISLI_AXIOMS if kleisli else SUITE_AXIOMS
+    axioms = COHERENCE if kleisli else SUITE_AXIOMS
 
     def setup():  # fresh subjects too: derivatives are memoized on their subject
         if kleisli:

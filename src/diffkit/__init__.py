@@ -23,8 +23,6 @@ from .kernel import (
     check_flatness,
     compose,
     const_map,
-    derivative,
-    epsilon,
     identity,
     is_epsilon_linear,
     is_epsilon_vanishing,

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainMismatch, ModelRestriction, ShapeMismatch, UnknownPrimitive
+from .errors import DiffkitError, DomainMismatch, ModelRestriction, ShapeMismatch, UnknownPrimitive
 from .morphisms import (
     DEFAULT_STRATEGY,
     EqualityStrategy,
@@ -165,18 +165,23 @@ def add(f: Morphism, g: Morphism) -> Morphism:
     )
 
 
-def negate(f: Morphism) -> Morphism:
+def pointwise(f: Morphism, name: str, op: Callable, v_op: Callable,
+              model: Optional[str] = None) -> Morphism:
+    """`f` followed by `op(f.cod, element)`, and by `v_op(f.cod, batch)` on
+    its batches. By axiom E2, eps(f) = eps(1) . f, so the module and stream
+    epsilons are such maps, as are negation and the scalar primitives. An
+    OverflowError of `v_op` reaches `codes_at`, which takes the closure."""
+
     def build(idx=None):
         tf = codes_at(f, idx)
-        return None if tf is None else v_neg(f.cod, tf)
+        return None if tf is None else v_op(f.cod, tf)
 
-    return Morphism(
-        f.dom, f.cod,
-        lambda x, _f=f.fn, _c=f.cod: neg_elem(_c, _f(x)),
-        model=f.model,
-        name=f"(-{f.name})",
-        table_builder=build,
-    )
+    return Morphism(f.dom, f.cod, lambda x, _f=f.fn, _op=op, _c=f.cod: _op(_c, _f(x)),
+                    model=model, name=name, table_builder=build)
+
+
+def negate(f: Morphism) -> Morphism:
+    return pointwise(f, f"(-{f.name})", neg_elem, v_neg, model=f.model)
 
 
 def product_map(f: Morphism, g: Morphism) -> Morphism:
@@ -198,6 +203,8 @@ class DifferenceModel:
     differentiated morphism (`Morphism.derivatives`), so repeated axiom
     instantiations share their tables and the memo dies with its key; they
     are marked `memoized`, which lets a large stage tabulate them.
+    `derivative` refuses a map whose domain or codomain is not a legal
+    space before `_derivative` sees it.
     """
 
     tag: str = "abstract"
@@ -229,6 +236,8 @@ class DifferenceModel:
     def derivative(self, f: Morphism) -> Morphism:
         cached = f.derivatives.get(self)
         if cached is None:
+            self.check_space(f.dom)
+            self.check_space(f.cod)
             cached = f.derivatives[self] = self._derivative(f)
             cached.memoized = True
         return cached
@@ -281,14 +290,6 @@ class DifferenceModel:
 
     def random_subjects(self, space: Space, count: int, seed: int) -> list[Morphism]:
         raise NotImplementedError
-
-
-def epsilon(model: DifferenceModel, f: Morphism) -> Morphism:
-    return model.epsilon(f)
-
-
-def derivative(model: DifferenceModel, f: Morphism) -> Morphism:
-    return model.derivative(f)
 
 
 def oplus(model: DifferenceModel, f: Morphism, g: Morphism) -> Morphism:
@@ -436,6 +437,10 @@ def _as_wiring(m: Morphism, build: Callable, args: tuple) -> Morphism:
 # axiom dispatch: the laws themselves are rows of `terms.LAWS`
 
 FLATNESS_IDS = ("F1", "F2", "F3", "F4", "OplusEps")
+# the coherence laws of a Cartesian difference category: the suite every
+# model, and the Kleisli category of each, must satisfy
+COHERENCE = ("CdC0", "CdC1", "CdC2", "CdC3", "CdC4", "CdC5", "CdC6", "CdC7",
+             "CdC6a", "CdC7a", "E1", "E2", "E3")
 AXIOM_IDS = [*(ax for ax, law in LAWS.items() if law.arity is not None), *FLATNESS_IDS]
 
 
@@ -644,7 +649,7 @@ def check_flatness(
             for name in model.primitive_names():
                 try:
                     p = model.primitive(name, space)
-                except Exception:
+                except DiffkitError:  # the primitive refuses this space
                     continue
                 if p.dom == space and p.cod == space:
                     prims.append(p)

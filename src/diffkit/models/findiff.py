@@ -134,8 +134,6 @@ class FinDiffModel(DifferenceModel):
                         table=f.table, table_builder=lambda idx=None: codes_at(f, idx))
 
     def _derivative(self, f: Morphism) -> Morphism:
-        self.check_space(f.dom)
-        self.check_space(f.cod)
         return difference_derivative(f, self.tag)
 
     def random_subjects(self, space: Space, count: int, seed: int) -> list[Morphism]:

@@ -18,10 +18,12 @@ from ..errors import NotAdditive
 from ..kernel import (
     DifferenceModel,
     compose,
+    identity,
     is_group_homomorphism,
+    pointwise,
     projection,
 )
-from ..morphisms import Auto, EqualityStrategy, Morphism, codes_at, coord_builder, domain_codes
+from ..morphisms import Auto, EqualityStrategy, Morphism, coord_builder
 from ..spaces import (
     BoundedInt,
     CyclicGroup,
@@ -48,6 +50,12 @@ def _hom_factor(src: Space, dst: Space) -> int:
     return dst.n // math.gcd(src.n, dst.n)
 
 
+def _scaled(k: int, f: Morphism, name: str, model=None) -> Morphism:
+    """`f` followed by multiplication by the integer `k`."""
+    return pointwise(f, name, lambda c, x: scale_elem(c, k, x),
+                     lambda c, v: v_scale(c, k, v), model=model)
+
+
 class ModuleModel(DifferenceModel):
     def __init__(self, r: int = 2):
         super().__init__()
@@ -59,14 +67,7 @@ class ModuleModel(DifferenceModel):
 
     @staticmethod
     def _scale_primitive(k: int):
-        def factory(space: Space) -> Morphism:
-            return Morphism(space, space,
-                            lambda x, _s=space: scale_elem(_s, k, x),
-                            name=f"x{k}",
-                            table_builder=lambda idx=None: v_scale(
-                                space, k, domain_codes(space, idx)))
-
-        return factory
+        return lambda space: _scaled(k, identity(space), f"x{k}")
 
     def legal_space(self, space: Space) -> bool:
         return all(isinstance(s, (CyclicGroup, BoundedInt)) for s in leaves(space))
@@ -80,21 +81,9 @@ class ModuleModel(DifferenceModel):
             raise NotAdditive(f"{f!r} is not additive; the module model rejects it")
 
     def epsilon(self, f: Morphism) -> Morphism:
-        cod = f.cod
-
-        def build(idx=None):
-            tf = codes_at(f, idx)
-            return None if tf is None else v_scale(cod, self.r, tf)
-
-        return Morphism(
-            f.dom, cod,
-            lambda x, _f=f.fn, _c=cod, _r=self.r: scale_elem(_c, _r, _f(x)),
-            model=self.tag, name=f"eps({f.name})", table_builder=build,
-        )
+        return _scaled(self.r, f, f"eps({f.name})", model=self.tag)
 
     def _derivative(self, f: Morphism) -> Morphism:
-        self.check_space(f.dom)
-        self.check_space(f.cod)
         self.require_additive(f)
         d = compose(f, projection(1, f.dom, f.dom))
         d.model = self.tag

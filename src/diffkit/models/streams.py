@@ -19,7 +19,7 @@ import random
 import numpy as np
 
 from ..errors import ModelRestriction, NotCausal
-from ..kernel import DifferenceModel
+from ..kernel import DifferenceModel, identity, pointwise
 from ..morphisms import (
     DEFAULT_STRATEGY,
     EqualityStrategy,
@@ -58,10 +58,7 @@ from ..spaces import (
 
 def truncation(space: Space) -> Morphism:
     """The operator z: head zeroed, tail unchanged."""
-    return Morphism(space, space,
-                    lambda a, _s=space: truncate_elem(_s, a),
-                    name="z",
-                    table_builder=lambda idx=None: v_trunc(space, domain_codes(space, idx)))
+    return pointwise(identity(space), "z", truncate_elem, v_trunc)
 
 
 def stream_derivative(f: Morphism, model_tag: str) -> Morphism:
@@ -205,21 +202,9 @@ class StreamModel(DifferenceModel):
         super().register_primitive(name, checked)
 
     def epsilon(self, f: Morphism) -> Morphism:
-        cod = f.cod
-
-        def build(idx=None):
-            tf = codes_at(f, idx)
-            return None if tf is None else v_trunc(cod, tf)
-
-        return Morphism(
-            f.dom, cod,
-            lambda x, _f=f.fn, _c=cod: truncate_elem(_c, _f(x)),
-            model=self.tag, name=f"eps({f.name})", table_builder=build,
-        )
+        return pointwise(f, f"eps({f.name})", truncate_elem, v_trunc, model=self.tag)
 
     def _derivative(self, f: Morphism) -> Morphism:
-        self.check_space(f.dom)
-        self.check_space(f.cod)
         return stream_derivative(f, self.tag)
 
     def random_subjects(self, space: Space, count: int, seed: int) -> list[Morphism]:

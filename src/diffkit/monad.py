@@ -26,6 +26,7 @@ from typing import Sequence
 
 from .errors import DiffkitError, DomainMismatch
 from .kernel import (
+    COHERENCE,
     BaseCat,
     DifferenceModel,
     add,
@@ -322,12 +323,6 @@ def random_kleisli_subjects(
     ]
 
 
-_KLEISLI_AXIOMS = [
-    "CdC0", "CdC1", "CdC2", "CdC3", "CdC4", "CdC5", "CdC6", "CdC7",
-    "CdC6a", "CdC7a", "E1", "E2", "E3",
-]
-
-
 def check_kleisli_cdc(
     model: DifferenceModel,
     a: Space,
@@ -344,7 +339,7 @@ def check_kleisli_cdc(
     """
     cat = KleisliCat(model, oracle_strat)
     subs = random_kleisli_subjects(model, a, subjects, seed)
-    axioms = list(_KLEISLI_AXIOMS) + (["CDC2-additivity"] if model.tag == "smooth" else [])
+    axioms = [*COHERENCE, *(["CDC2-additivity"] if model.tag == "smooth" else [])]
     reports = (axiom_pool_report(model, ax, subs, strat, "random kleisli subjects", cat=cat)
                for ax in axioms)
     return [r for r in reports if r is not None]

@@ -42,7 +42,7 @@ import random
 import re
 from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
-from .errors import SizeExceeded, TermSyntaxError, TermTypeError
+from .errors import DiffkitError, SizeExceeded, TermSyntaxError, TermTypeError
 from .spaces import Product, Space, TERMINAL, derive_seed, flatten, sample_space
 
 if TYPE_CHECKING:
@@ -632,7 +632,7 @@ def _random_term_once(
         try:
             model.primitive(name, space)
             usable.append(name)
-        except Exception:
+        except DiffkitError:
             continue
 
     pp = Product(space, space)

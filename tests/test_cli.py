@@ -5,8 +5,9 @@ import time
 import jsonschema
 import pytest
 
-from diffkit import cli
+from diffkit import cli, kernel
 from diffkit.cli import REPORT_SCHEMA, main
+from diffkit.errors import InternalError
 from diffkit.models import get_model
 from diffkit.monad import check_kleisli_cdc
 from diffkit.morphisms import DEFAULT_STRATEGY
@@ -64,6 +65,20 @@ def test_check_separation_witness_exits_one(capsys):
     jsonschema.validate(doc, REPORT_SCHEMA)
     assert doc["violations_total"] > 0
     assert doc["results"][0]["counterexample"] is not None
+
+
+def test_an_internal_error_exits_three(capsys, monkeypatch):
+    # batches and closures that disagree are a bug in diffkit: one error
+    # line and exit 3, neither a violation (1) nor bad input (2)
+    def disagree(f, g, strat):
+        raise InternalError("batches and closures disagree")
+
+    monkeypatch.setattr(kernel, "morphisms_equal", disagree)
+    code = main(["check", "--model", "findiff", "--space", "Z5", "--subjects", "1",
+                 "--axioms", "CdC1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.splitlines() == ["error: internal: batches and closures disagree"]
 
 
 def test_derive_past_the_node_limit_exits_two(capsys):

@@ -58,7 +58,7 @@ from diffkit.spaces import (
     parse_space,
     wiring_codes,
 )
-from diffkit.terms import LAWS
+from diffkit.terms import LAWS, random_term
 
 # the axioms `axiom_sides` binds: the rows of the law table with an arity
 AXIOMS = [ax for ax, law in LAWS.items() if law.arity is not None]
@@ -213,6 +213,22 @@ def test_flatness_findiff_and_terminal_pass():
     assert check_flatness(fd, TERMINAL, EX).passed
     mm = get_model("module:r=2")
     assert check_flatness(mm, Z5, EX).passed  # 2 is invertible mod 5
+
+
+def test_a_crashing_primitive_factory_is_not_skipped():
+    # a factory refuses a space with a DiffkitError, and F3 and the term
+    # generator skip that primitive; any other exception is a bug, which
+    # must not shrink F3's checked set or the generator's primitives
+    model = get_model("findiff")
+
+    def broken(space):
+        raise RuntimeError("factory bug")
+
+    model.register_primitive("broken", broken)
+    with pytest.raises(RuntimeError, match="factory bug"):
+        check_flatness(model, Z5, EX, parts=("F3",))
+    with pytest.raises(RuntimeError, match="factory bug"):
+        random_term(model, Z5, 2, seed=0)
 
 
 def test_flatness_smooth_fails_right_injectivity():

@@ -6,7 +6,7 @@ import pytest
 from diffkit.cli import main
 
 from diffkit.errors import DiffkitError, DomainMismatch, InternalError, SizeExceeded
-from diffkit.kernel import add, compose, identity, pair, projection, zero_map
+from diffkit.kernel import add, compose, identity, negate, pair, projection, zero_map
 from diffkit.models import get_model
 from diffkit.morphisms import (
     BLOCK,
@@ -117,9 +117,22 @@ def test_auto_resolves_per_domain():
 STREAM4 = StreamPrefix(Z3, 4)
 
 
+def _primitives_on(model, space):
+    """The registered primitives of `model` that instantiate on `space`."""
+    out = []
+    for name in model.primitive_names():
+        try:
+            out.append(model.primitive(name, space))
+        except DiffkitError:
+            pass
+    return out
+
+
 def test_tables_mirror_closures():
     # the vectorized backend must agree with plain evaluation, on tables
-    # and on domains too big to tabulate (d[d[f]] on Stream(Z3,4))
+    # and on domains too big to tabulate (d[d[f]] on Stream(Z3,4)); the
+    # kernel.pointwise maps (negation, the module and stream eps, the
+    # scalings and z among the primitives) included
     for spec, space in [("findiff", Z7), ("streams:k=4", STREAM4),
                         ("module:r=2", Product(Z5, Z5))]:
         model = get_model(spec)
@@ -139,6 +152,8 @@ def test_tables_mirror_closures():
             compose(d(d(f)), pair(pair(x, zero), pair(zero, y))),
             zero_map(space, space),
             projection(0, space, Z5),
+            negate(f),
+            *_primitives_on(model, space),
         ]
         for m in built:
             xs = sample_space(m.dom, 25, seed=5)
