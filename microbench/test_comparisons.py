@@ -7,7 +7,7 @@ in the same order. The rest time the layers a law check is built from:
 building an axiom's sides, the sides of the whole suite on a fresh cat
 (where each law row is compiled on first use), one axiom over a pool of
 subjects (on a small stage, and exhaustively on a large one whose wirings
-the pool shares), tabulating
+the pool shares), a whole `check` over a stacked pool, tabulating
 a composite and a second derivative (in blocks), one stage compared exhaustively against the same number of
 sampled points, a whole codec stage compared exhaustively, and Kleisli
 composition under each oracle strategy.
@@ -16,8 +16,8 @@ composition under each oracle strategy.
 import numpy as np
 import pytest
 
-from diffkit.cli import SUITE_AXIOMS
-from diffkit.kernel import COHERENCE, BaseCat, axiom_pool_report, axiom_sides, compose
+from diffkit.cli import SUITE_AXIOMS, run_check
+from diffkit.kernel import COHERENCE, BaseCat, SubjectPool, axiom_pool_report, axiom_sides, compose
 from diffkit.models import get_model
 from diffkit.monad import (
     DEFAULT_ORACLE,
@@ -131,7 +131,7 @@ def test_tabulate_composite(benchmark):
 def test_tabulate_second_derivative(benchmark):
     model = get_model("findiff")
 
-    def setup():  # a fresh subject: its derivatives keep the tables they build
+    def setup():  # a fresh subject: its derivatives have no tables yet
         (f,) = model.random_subjects(parse_space("(Z5 x Z5)"), 1, 42)
         return (model.derivative(model.derivative(f)),), {}
 
@@ -144,7 +144,7 @@ def test_axiom_sides_cdc7a(benchmark, spec, text):
     benchmark.group = "axiom_sides for CdC7a"
     model, space = get_model(spec), parse_space(text)
 
-    def setup():  # a fresh subject: derivatives are memoized on their subject
+    def setup():  # a fresh subject and cat
         return (BaseCat(model), model, "CdC7a", model.random_subjects(space, 1, 42)), {}
 
     ((_, lhs, _),) = benchmark.pedantic(axiom_sides, setup=setup, rounds=20, iterations=1)
@@ -161,7 +161,7 @@ def test_law_table_compile(benchmark, kleisli):
     model, space = get_model("findiff"), parse_space("Z7")
     axioms = COHERENCE if kleisli else SUITE_AXIOMS
 
-    def setup():  # fresh subjects too: derivatives are memoized on their subject
+    def setup():  # fresh subjects too
         if kleisli:
             return (KleisliCat(model), random_kleisli_subjects(model, space, 2, 42)), {}
         return (BaseCat(model), model.random_subjects(space, 2, 42)), {}
@@ -174,11 +174,10 @@ def test_law_table_compile(benchmark, kleisli):
 
 @pytest.mark.benchmark(group="CdC2 over a pool of 50 subjects on Z7")
 def test_axiom_pool_on_a_small_stage(benchmark):
-    # one BaseCat for the pool: the structure maps are built once, so most
-    # of the time goes to each subject's own nodes and comparisons
+    # the pool is stacked: the law runs once, on maps with a row per subject
     model, strat = get_model("findiff"), EqualityStrategy(Auto(256, 42))
 
-    def setup():  # a fresh pool: derivatives are memoized on their subject
+    def setup():  # a fresh pool, and so a fresh derivative memo
         return (model, "CdC2", model.random_subjects(parse_space("Z7"), 50, 42), strat,
                 "random subjects"), {}
 
@@ -188,18 +187,30 @@ def test_axiom_pool_on_a_small_stage(benchmark):
 
 @pytest.mark.benchmark(group="CdC7a over a pool of 3 subjects on (Z5 x Z5), exhaustive")
 def test_pooled_exhaustive_wiring(benchmark):
-    # one BaseCat for the pool: the wiring <<x,z>,<y,w>> on (Z5 x Z5)^4 is
-    # computed in one pass for the first subject and tabulated when the second
-    # reads it, and <<x,y>,<z,w>> is the identity on codes. The second
-    # derivatives are tabulated first, as CdC6 leaves them.
+    # a stacked pool: the wiring <<x,z>,<y,w>> on (Z5 x Z5)^4 is computed in
+    # one pass for every subject at once, and <<x,y>,<z,w>> is the identity
+    # on codes. The pool's second derivative, a row per subject, is
+    # tabulated first, as CdC6 leaves it.
     model = get_model("findiff")
     strat = EqualityStrategy(Auto(256, 42), bound=1_000_000)
-    pool = model.random_subjects(parse_space("(Z5 x Z5)"), 3, 42)
-    for f in pool:
-        tabulate(model.derivative(model.derivative(f)))
+    pool = SubjectPool(model, model.random_subjects(parse_space("(Z5 x Z5)"), 3, 42))
+    cat = pool.cat()
+    tabulate(cat.derivative(cat.derivative(pool.stacked[0])))
     rep = benchmark.pedantic(axiom_pool_report, (model, "CdC7a", pool, strat, "random subjects"),
                              rounds=7, iterations=1)
     assert rep.passed and rep.checked == 3 * 5 ** 8
+
+
+@pytest.mark.benchmark(group="check findiff Z7, 50 subjects")
+def test_pooled_check_findiff_z7(benchmark):
+    # the whole suite, CA and CAD in-process: the 50 subjects are one stacked
+    # pool, so each law program runs once
+    model, space = get_model("findiff"), parse_space("Z7")
+    strat = EqualityStrategy(Auto(256, 42))
+    axioms = [*SUITE_AXIOMS, "CA", "CAD"]
+    reports = benchmark.pedantic(run_check, (model, space, axioms, 50, 42, strat), rounds=10,
+                                 iterations=1)
+    assert sum(r.checked for r in reports) == 514_864 and all(r.passed for r in reports)
 
 
 @pytest.mark.parametrize("spec,text,oracle", [

@@ -95,11 +95,17 @@ def check_cad_derivative(
 ) -> LawReport:
     """CAD.1 and CAD.2: df is a derivative of f for the given actions. A
     `cat` (a `BaseCat`) shared by the calls of a pool compiles the laws once."""
+    pairs = cad_sides(f, df, ca_a, ca_b, cat or BaseCat(None))
+    return report_from_equalities("CAD1+CAD2", model_tag, f.name, pairs, strat)
+
+
+def cad_sides(f: Morphism, df: Morphism, ca_a: ChangeActionStruct, ca_b: ChangeActionStruct,
+              cat) -> list:
+    """The `(label, lhs, rhs)` clauses of CAD.1 and CAD.2, built through `cat`."""
     A, DA = ca_a.base, ca_a.delta
     if f.dom != A or f.cod != ca_b.base:
         raise TypeMismatch("f must map between the action carriers")
     if df.dom != Product(A, DA) or df.cod != ca_b.delta:
         raise TypeMismatch("df must map A x dA -> dB")
     env = dict(_action(ca_a, "A"), **_action(ca_b, "B"), f=f, df=df)
-    pairs = law_sides(cat or BaseCat(None), "CAD", env)
-    return report_from_equalities("CAD1+CAD2", model_tag, f.name, pairs, strat)
+    return law_sides(cat, "CAD", env)

@@ -17,10 +17,10 @@ import os
 import sys
 import time
 
-from .changeaction import check_cad_derivative, check_change_action, induced_action
+from .changeaction import cad_sides, check_cad_derivative, check_change_action, induced_action
 from .errors import DiffkitError, InternalError, InvalidArgument
-from .kernel import (AXIOM_IDS, COHERENCE, FLATNESS_IDS, BaseCat, DifferenceModel,
-                     axiom_pool_report, check_flatness, pool_report)
+from .kernel import (AXIOM_IDS, COHERENCE, FLATNESS_IDS, DifferenceModel, SubjectPool,
+                     axiom_pool_report, check_flatness, pool_report, stacked_report)
 from .lambda_closed import run_lambda_suite
 from .models import get_model, load_table_primitive, read_table_json
 from .monad import (
@@ -316,29 +316,33 @@ def run_check(
     """One aggregated LawReport per axiom over `subjects` random subjects.
 
     `CA` and `CAD` run the change-action laws of the induced action and
-    the derivative laws of every subject respectively.
+    the derivative laws of every subject respectively. The subjects are one
+    `SubjectPool`, which keeps their derivatives for the whole run.
     """
     if subjects < 1:
         raise InvalidArgument("check needs at least one subject")
-    pool = model.random_subjects(space, subjects, seed)
+    pool = SubjectPool(model, model.random_subjects(space, subjects, seed))
+    noun = "random subjects"
     results = []
     for ax in axioms:
         if ax == "CA":
             ca = induced_action(model, space)
-            pair_subjects = tuple(pool[:2]) if len(pool) >= 2 else None
+            pair_subjects = tuple(pool.subjects[:2]) if subjects >= 2 else None
             results.append(check_change_action(ca, strat, model.tag, pair_subjects))
             continue
         if ax == "CAD":
-            ca, cat = induced_action(model, space), BaseCat(model)
-            results.append(pool_report(
-                pool, lambda f, _: check_cad_derivative(f, model.derivative(f), ca, ca,
-                                                        strat, model.tag, cat),
-                "random subjects"))
+            ca, cat = induced_action(model, space), pool.cat()
+            results.append(stacked_report(
+                pool, "CAD1+CAD2", lambda c, f, _: cad_sides(f, c.derivative(f), ca, ca, c),
+                strat, model.tag, noun, cat) or pool_report(
+                pool.subjects, lambda f, _: check_cad_derivative(f, cat.derivative(f), ca, ca,
+                                                                 strat, model.tag, cat),
+                noun))
             continue
         if ax in FLATNESS_IDS:
             results.append(check_flatness(model, space, strat, parts=(ax,)))
             continue
-        results.append(axiom_pool_report(model, ax, pool, strat, "random subjects"))
+        results.append(axiom_pool_report(model, ax, pool, strat, noun))
     return results
 
 

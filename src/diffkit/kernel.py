@@ -14,26 +14,37 @@ base models and the Kleisli category of the tangent bundle monad.
 Generalized points x, y, z, w inside a law are tautological projections
 from a product stage, which makes pointwise equality over the stage
 equivalent to quantifying the law over sampled/enumerated element points.
+
+Every subject of a pool is compared at the same points, so a pool of
+subjects on one small codec domain is stacked into one map with a row per
+subject (`SubjectPool`), and each law program runs once for the whole pool
+(`stacked_report`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DiffkitError, DomainMismatch, ModelRestriction, ShapeMismatch, UnknownPrimitive
+from .errors import (DiffkitError, DomainMismatch, InternalError, ModelRestriction, ShapeMismatch,
+                     UnknownPrimitive)
 from .morphisms import (
     DEFAULT_STRATEGY,
+    MAX_CHUNK,
     EqualityStrategy,
     LawReport,
     Morphism,
+    Unstacked,
+    Wiring,
     codes_at,
     domain_codes,
     morphisms_equal,
+    no_closure,
     report_from_equalities,
-    Wiring,
+    table_dtype,
     to_jsonable,
     wiring,
 )
@@ -63,8 +74,12 @@ from .terms import LAWS, law_sides
 
 
 def _filled(dom: Space, cod: Space, idx, value) -> np.ndarray:
-    """The element `value` of `cod` at every requested point of `dom`."""
-    return const_batch(cod, value, codec_size(dom) if idx is None else len(idx))
+    """The element `value` of `cod` at every requested point of `dom`: at
+    each code of a batch of any shape between codec spaces, else at each row."""
+    if idx is None:
+        return const_batch(cod, value, codec_size(dom))
+    codes = table_codec_size(dom) and table_codec_size(cod)
+    return const_batch(cod, value, idx.shape if codes else len(idx))
 
 
 def _merge_model(*ms: Morphism) -> Optional[str]:
@@ -72,6 +87,11 @@ def _merge_model(*ms: Morphism) -> Optional[str]:
     if len(tags) > 1:
         raise DomainMismatch(f"mixed model tags {tags}")
     return tags.pop() if tags else None
+
+
+def _rows(*ms: Morphism) -> Optional[int]:
+    """The subject rows of a map built from `ms`: those of any stacked one."""
+    return next((m.rows for m in ms if m.rows is not None), None)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +146,7 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
         model=_merge_model(f, g),
         name=f"({g.name} . {f.name})",
         table_builder=build,
+        rows=_rows(f, g),
     )
 
 
@@ -144,6 +165,7 @@ def pair(f: Morphism, g: Morphism) -> Morphism:
         model=_merge_model(f, g),
         name=f"<{f.name},{g.name}>",
         table_builder=build,
+        rows=_rows(f, g),
     )
 
 
@@ -162,6 +184,7 @@ def add(f: Morphism, g: Morphism) -> Morphism:
         model=_merge_model(f, g),
         name=f"({f.name} + {g.name})",
         table_builder=build,
+        rows=_rows(f, g),
     )
 
 
@@ -177,7 +200,7 @@ def pointwise(f: Morphism, name: str, op: Callable, v_op: Callable,
         return None if tf is None else v_op(f.cod, tf)
 
     return Morphism(f.dom, f.cod, lambda x, _f=f.fn, _op=op, _c=f.cod: _op(_c, _f(x)),
-                    model=model, name=name, table_builder=build)
+                    model=model, name=name, table_builder=build, rows=f.rows)
 
 
 def negate(f: Morphism) -> Morphism:
@@ -199,12 +222,11 @@ class DifferenceModel:
 
     Subclasses fix the legal space kinds, the infinitesimal extension,
     the difference combinator, a registry of named primitives, and a
-    source of random law-check subjects. Derivatives are memoized on the
-    differentiated morphism (`Morphism.derivatives`), so repeated axiom
-    instantiations share their tables and the memo dies with its key; they
-    are marked `memoized`, which lets a large stage tabulate them.
-    `derivative` refuses a map whose domain or codomain is not a legal
-    space before `_derivative` sees it.
+    source of random law-check subjects. `derivative` builds d[f] afresh,
+    and refuses a map whose domain or codomain is not a legal space before
+    `_derivative` sees it; the memo of derivatives belongs to whoever holds
+    the maps (`BaseCat.derivative`, `SubjectPool`). A derivative is marked
+    `memoized`, which lets a large stage tabulate it.
     """
 
     tag: str = "abstract"
@@ -234,13 +256,11 @@ class DifferenceModel:
         raise NotImplementedError
 
     def derivative(self, f: Morphism) -> Morphism:
-        cached = f.derivatives.get(self)
-        if cached is None:
-            self.check_space(f.dom)
-            self.check_space(f.cod)
-            cached = f.derivatives[self] = self._derivative(f)
-            cached.memoized = True
-        return cached
+        self.check_space(f.dom)
+        self.check_space(f.cod)
+        d = self._derivative(f)
+        d.memoized = True
+        return d
 
     def _derivative(self, f: Morphism) -> Morphism:
         raise NotImplementedError
@@ -322,12 +342,20 @@ class BaseCat:
     `compiled` holds the laws `terms.law_sides` compiled on this cat.
     Because the cat `shares` its structure maps, a compiled law builds the
     subject-free ones it reads once, and keeps them with the memo.
+
+    `derivatives` is the derivative memo of a pool (`SubjectPool`): d[m] of
+    each map m among its keys, built once and kept with the pool; a key's
+    derivative becomes a key in turn. The derivative of a memo value is
+    memoized like any structure map, and that of anything else is built
+    afresh. Nothing in a memo refers back to it, so a finished run is freed
+    by reference counting.
     """
 
     shares = True
 
-    def __init__(self, model: DifferenceModel):
+    def __init__(self, model: DifferenceModel, derivatives: Optional[dict] = None):
         self.model = model
+        self.derivatives = {} if derivatives is None else derivatives
         self._memo: dict = {}
         self._kept: set[int] = set()  # ids of memo values, which the memo keeps alive
         self.compiled: dict = {}
@@ -368,7 +396,14 @@ class BaseCat:
         return self._cons(self.model.epsilon, f)
 
     def derivative(self, f):
-        return self.model.derivative(f)
+        memo = self.derivatives
+        if f not in memo:
+            return self._cons(self.model.derivative, f)
+        d = memo[f]
+        if d is None:
+            d = memo[f] = self.model.derivative(f)
+            memo[d] = None
+        return d
 
     def primitive(self, name, a):
         return self.model.primitive(name, a)
@@ -504,22 +539,136 @@ def pool_report(pool: Sequence, check, noun: str) -> Optional[LawReport]:
     return agg
 
 
-def axiom_pool_report(model: DifferenceModel, axiom: str, pool: Sequence, strat: EqualityStrategy,
+class SubjectPool:
+    """The subjects of one run, and the memo of their derivatives.
+
+    The pool is stacked when it has S >= 2 subjects between the same two
+    codec spaces, with a domain of at most MAX_CHUNK codes. Each subject is
+    tabulated, and `stacked` is `(f, g)`: `f` holds their tables as its
+    rows, a `(S, n)` table, and `g` the same rows rolled by one, as an
+    arity-2 law pairs subject i with subject i + 1. A law program run on
+    `f` and `g` checks every subject at once (`stacked_report`). Other
+    pools, and a stacked run that meets a map without batches or an error,
+    run subject by subject.
+
+    `derivatives` memoizes d[m] for the subjects, the stacked maps and
+    their derivatives, for every axiom of the run (`BaseCat.derivative`).
+    """
+
+    def __init__(self, model: DifferenceModel, subjects: Sequence[Morphism]):
+        self.model = model
+        self.subjects = list(subjects)
+        self.derivatives = dict.fromkeys(self.subjects)
+
+    @functools.cached_property
+    def stacked(self) -> Optional[tuple]:
+        out = _stack(self.subjects)
+        self.derivatives.update(dict.fromkeys(out or ()))
+        return out
+
+    def cat(self) -> BaseCat:
+        return BaseCat(self.model, self.derivatives)
+
+
+def _stack(subjects: list) -> Optional[tuple]:
+    """The stacked maps `(f, g)` of `subjects`, or None (`SubjectPool`)."""
+    if len(subjects) < 2:
+        return None
+    first, last = subjects[0], subjects[-1]
+    n = table_codec_size(first.dom)
+    if (n is None or n > MAX_CHUNK or table_codec_size(first.cod) is None
+            or any(f.dom != first.dom or f.cod != first.cod for f in subjects)):
+        return None
+    rows = np.stack([codes_at(f) for f in subjects])
+    rows = rows.astype(table_dtype(rows.size, first.cod), copy=False)
+
+    def stacked(table, name):
+        table.setflags(write=False)
+        return Morphism(first.dom, first.cod, no_closure, model=_merge_model(*subjects),
+                        name=name, table=table, rows=len(subjects))
+
+    return (stacked(rows, f"[{first.name}..{last.name}]"),
+            stacked(np.roll(rows, -1, axis=0), f"[{subjects[1].name}..{first.name}]"))
+
+
+def stacked_report(pool: SubjectPool, axiom: str, sides: Callable, strat: EqualityStrategy,
+                   tag: str, noun: str, cat: BaseCat) -> Optional[LawReport]:
+    """The LawReport of `axiom` over a stacked pool, from one law program:
+    `sides(cat, f, g)` gives its `(label, lhs, rhs)` clauses, here on the
+    stacked maps, with `cat` one of `pool.cat()`. It reads as the
+    per-subject loop (`pool_report`) would: `checked` sums every subject's
+    comparisons, `violations` counts the failing (subject, clause) pairs,
+    and the counterexample is that of the lowest failing subject's first
+    failing clause, rebuilt for that subject alone and compared again, so
+    that its closures give both sides. None when the pool is not stacked,
+    or when the stacked run meets a map without batches or a DiffkitError;
+    then the caller runs the pool subject by subject, which raises any
+    error as it always did."""
+    if pool.stacked is None:
+        return None
+    subjects = pool.subjects
+    size = len(subjects)
+
+    def seeded(label):
+        return strat.with_seed(derive_seed(strat.seed, axiom, label))
+
+    try:
+        clauses = sides(cat, *pool.stacked)
+        reps = [morphisms_equal(lhs, rhs, seeded(label)) for label, lhs, rhs in clauses]
+    except (Unstacked, DiffkitError):
+        return None
+    checked, violations, first = 0, 0, None  # first: (row, clause, checked)
+    for i, rep in enumerate(reps):
+        misses = rep.misses
+        if misses is None:  # a clause that reads no subject holds alike for all
+            checked += size * rep.checked
+            misses = {} if rep.passed else dict.fromkeys(range(size), rep.checked)
+        else:
+            checked += rep.checked
+        violations += len(misses)
+        if misses and (first is None or min(misses) < first[0]):
+            first = (min(misses), i, misses[min(misses)])
+    counterexample = None
+    if first is not None:
+        row, i, want = first
+        label, lhs, rhs = sides(cat, subjects[row], subjects[(row + 1) % size])[i]
+        rep = morphisms_equal(lhs, rhs, seeded(label))
+        if rep.passed or rep.checked != want:
+            raise InternalError(f"{axiom}, clause {label!r}: the stacked pool finds subject "
+                                f"{row} failing after {want} points, the subject alone "
+                                f"{'passes' if rep.passed else f'after {rep.checked}'}")
+        counterexample = dict(rep.counterexample, clause=label)
+    return LawReport(axiom=axiom, model=tag, subject=f"{size} {noun}", strategy=strat.describe(),
+                     checked=checked, violations=violations, counterexample=counterexample,
+                     seed=strat.seed)
+
+
+def axiom_pool_report(model: DifferenceModel, axiom: str, pool, strat: EqualityStrategy,
                       noun: str, cat=None) -> Optional[LawReport]:
-    """`pool_report` of `check_axiom`, with one `cat` (a fresh `BaseCat` when
-    None) for the whole pool, so its structure maps are built once. An axiom
-    of arity "space" (CdC3, EpsVanishing) reads only its subjects' domain: on
-    a pool that shares one it runs for the first subject alone and counts
-    once per subject."""
+    """`pool_report` of `check_axiom`, with one `cat` for the whole pool, so
+    its structure maps are built once. `pool` is a `SubjectPool`, or a list
+    of subjects that becomes one; with a `cat` (such as a `monad.KleisliCat`)
+    it is a list, run subject by subject. A stacked pool runs the law once
+    (`stacked_report`). An axiom of arity "space" (CdC3, EpsVanishing) reads
+    only its subjects' domain: on a pool that shares one it runs for the
+    first subject alone and counts once per subject."""
+    if cat is None:
+        pool = pool if isinstance(pool, SubjectPool) else SubjectPool(model, pool)
+        cat = pool.cat()
+    subjects = pool.subjects if isinstance(pool, SubjectPool) else pool
     once = axiom in LAWS and LAWS[axiom].arity == "space" and all(
-        f.dom == pool[0].dom for f in pool)
-    cat = cat or BaseCat(model)
-    rep = pool_report(pool[:1] if once else pool,
+        f.dom == subjects[0].dom for f in subjects)
+    if not once and isinstance(pool, SubjectPool):
+        rep = stacked_report(pool, axiom, lambda c, f, g: axiom_sides(c, model, axiom, [f, g]),
+                             strat, model.tag, noun, cat)
+        if rep is not None:
+            return rep
+    rep = pool_report(subjects[:1] if once else subjects,
                       lambda f, g: check_axiom(model, axiom, [f, g], strat, cat=cat), noun)
     if once and rep is not None:
-        rep.subject = f"{len(pool)} {noun}"
-        rep.checked *= len(pool)
-        rep.violations *= len(pool)
+        rep.subject = f"{len(subjects)} {noun}"
+        rep.checked *= len(subjects)
+        rep.violations *= len(subjects)
     return rep
 
 

@@ -50,7 +50,7 @@ def difference_derivative(f: Morphism, model_tag: str) -> Morphism:
         return None if fs is None or fx is None else v_sub(b, fs, fx)
 
     return Morphism(dom, b, fn, model=model_tag, name=f"d[{f.name}]",
-                    table_builder=build)
+                    table_builder=build, rows=f.rows)
 
 
 def _scalar_primitive(name: str, scalar_fn):
@@ -131,7 +131,8 @@ class FinDiffModel(DifferenceModel):
     def epsilon(self, f: Morphism) -> Morphism:
         """The identity on codes: shares `f`'s table when it has one."""
         return Morphism(f.dom, f.cod, f.fn, model=self.tag, name=f"eps({f.name})",
-                        table=f.table, table_builder=lambda idx=None: codes_at(f, idx))
+                        table=f.table, table_builder=lambda idx=None: codes_at(f, idx),
+                        rows=f.rows)
 
     def _derivative(self, f: Morphism) -> Morphism:
         return difference_derivative(f, self.tag)

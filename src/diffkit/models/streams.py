@@ -83,7 +83,7 @@ def stream_derivative(f: Morphism, model_tag: str) -> Morphism:
         return v_splice0(b, v_sub(b, fs, fx), v_sub(b, ft, fx))
 
     return Morphism(dom, b, fn, model=model_tag, name=f"d[{f.name}]",
-                    table_builder=build)
+                    table_builder=build, rows=f.rows)
 
 
 def _subject_builder(space: StreamPrefix, k: int, p, q):

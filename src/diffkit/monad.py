@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DiffkitError, DomainMismatch
+from .errors import DomainMismatch, InternalError
 from .kernel import (
     COHERENCE,
     BaseCat,
@@ -206,9 +206,10 @@ def kleisli_epsilon(model: DifferenceModel, f: KleisliMap) -> KleisliMap:
     return KleisliMap(f.dom, f.cod, model.epsilon(f.f0), model.epsilon(f.f1))
 
 
-def kleisli_derivative(model: DifferenceModel, f: KleisliMap) -> KleisliMap:
-    return KleisliMap(Product(f.dom, f.dom), f.cod,
-                      model.derivative(f.f0), model.derivative(f.f1))
+def kleisli_derivative(model: DifferenceModel, f: KleisliMap, derive=None) -> KleisliMap:
+    """d of each component, by `derive` (a cat's memo; None: `model.derivative`)."""
+    derive = derive or model.derivative
+    return KleisliMap(Product(f.dom, f.dom), f.cod, derive(f.f0), derive(f.f1))
 
 
 def kleisli_compose(
@@ -216,17 +217,20 @@ def kleisli_compose(
     g: KleisliMap,
     f: KleisliMap,
     oracle_strat: EqualityStrategy = DEFAULT_ORACLE,
+    derive=None,
 ) -> KleisliMap:
-    """Closed-form composition <g0.f0, d[g0]<f0,f1> + g1.(f0 (+) f1)>.
+    """Closed-form composition <g0.f0, d[g0]<f0,f1> + g1.(f0 (+) f1)>, with
+    d[g0] from `derive` (a cat's memo; None: `model.derivative`).
 
     Every call recomputes the definitional form mu . T(g) . f and asserts
-    agreement under `oracle_strat`.
+    agreement under `oracle_strat`; a disagreement is a bug in diffkit
+    (InternalError), reported with the point and both values.
     """
     if f.cod != g.dom:
         raise DomainMismatch(f"cannot compose {g.name} after {f.name}")
     c0 = compose(g.f0, f.f0)
     c1 = add(
-        compose(model.derivative(g.f0), pair(f.f0, f.f1)),
+        compose((derive or model.derivative)(g.f0), pair(f.f0, f.f1)),
         compose(g.f1, add(f.f0, model.epsilon(f.f1))),
     )
     out = KleisliMap(f.dom, g.cod, c0, c1)
@@ -234,9 +238,9 @@ def kleisli_compose(
                            compose(T_map(model, g.as_base()), f.as_base()))
     rep = morphisms_equal(out.as_base(), definitional, oracle_strat)
     if not rep.passed:
-        raise DiffkitError(
-            f"Kleisli composition self-check failed: {rep.counterexample}"
-        )
+        cx = rep.counterexample
+        raise InternalError(f"Kleisli composition self-check failed at {cx['input']}: "
+                            f"the closed form gives {cx['lhs']}, mu . T(g) . f gives {cx['rhs']}")
     return out
 
 
@@ -264,22 +268,25 @@ class KleisliCat:
     point stage for k points of A is the base product of k copies of
     T(A) with its tautological projections split into components.
     `oracle_strat` is the self-check of every composition. One `BaseCat`
-    builds the point stages, so its structure maps are shared. Kleisli maps
-    themselves are not memoized, so a law compiled on this cat (`compiled`)
-    keeps none and builds every step again for each subject.
+    builds the point stages, so its structure maps are shared, and takes the
+    derivatives of components: `derivatives` is the memo of a pool's
+    components (`BaseCat`). Kleisli maps themselves are not memoized, so a
+    law compiled on this cat (`compiled`) keeps none and builds every step
+    again for each subject.
     """
 
-    def __init__(self, model: DifferenceModel, oracle_strat: EqualityStrategy = DEFAULT_ORACLE):
+    def __init__(self, model: DifferenceModel, oracle_strat: EqualityStrategy = DEFAULT_ORACLE,
+                 derivatives: dict | None = None):
         self.model = model
         self.oracle_strat = oracle_strat
-        self.base = BaseCat(model)
+        self.base = BaseCat(model, derivatives)
         self.compiled: dict = {}
 
     def identity(self, a):
         return kleisli_identity(self.model, a)
 
     def compose(self, g, f):
-        return kleisli_compose(self.model, g, f, self.oracle_strat)
+        return kleisli_compose(self.model, g, f, self.oracle_strat, self.base.derivative)
 
     def pair(self, f, g):
         return kleisli_pair(f, g)
@@ -300,7 +307,7 @@ class KleisliCat:
         return kleisli_epsilon(self.model, f)
 
     def derivative(self, f):
-        return kleisli_derivative(self.model, f)
+        return kleisli_derivative(self.model, f, self.base.derivative)
 
     def stage(self, objs: Sequence[Space]) -> Space:
         return self.base.stage([T_space(o) for o in objs])
@@ -337,8 +344,8 @@ def check_kleisli_cdc(
     the Kleisli derivative is additive in its second argument as well,
     so CDC2-additivity is appended there.
     """
-    cat = KleisliCat(model, oracle_strat)
     subs = random_kleisli_subjects(model, a, subjects, seed)
+    cat = KleisliCat(model, oracle_strat, dict.fromkeys(c for k in subs for c in (k.f0, k.f1)))
     axioms = [*COHERENCE, *(["CDC2-additivity"] if model.tag == "smooth" else [])]
     reports = (axiom_pool_report(model, ax, subs, strat, "random kleisli subjects", cat=cat)
                for ax in axioms)

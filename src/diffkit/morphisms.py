@@ -18,7 +18,15 @@ narrowest unsigned dtype for its codomain's codes: a second derivative on
 the requested codes, so a composite reads a big inner map without filling
 its whole domain.
 
-`morphisms_equal` walks its test set in one loop of chunks. On a stage
+A stacked map (`kernel.SubjectPool`) holds the tables of several subjects
+as the rows of one table, and every map built from it has `rows` set: its
+batches carry a leading subject axis, `(rows, N)` codes. Structure maps
+keep one row, and indexing broadcasts them against the subject axis; the
+builders are elementwise, so they take either shape. The rules above apply
+per row, and a table of more than BLOCK entries in all is filled in blocks.
+
+`morphisms_equal` walks its test set in one loop of chunks (stacked maps:
+`_rows_equal`, the same points for every row). On a stage
 with batches a chunk is one batch: codes or coordinates read through
 `codes_at`, or, on a real stage (every coordinate real), one call of each
 side's closure on the float64 columns of the chunk's points. Where a side
@@ -93,9 +101,10 @@ class Morphism:
     table of more than BLOCK codes block by block (`_blocked`). Read both
     through `codes_at`. Builders run only when a comparison needs batches,
     and a sampled one evaluates them at its drawn points only.
-    `derivatives` memoizes `d[self]` per difference model, so repeated
-    axiom instantiations share one derivative and its table, and the memo
-    dies with the morphism; `memoized` marks a morphism kept there.
+    `rows` is set on a stacked map (`kernel.SubjectPool`) and on every map
+    built from one: its batches carry a leading subject axis, a row per
+    subject, and its table has that many rows. `memoized` marks a
+    derivative, which a pool keeps for its run (`kernel.BaseCat.derivative`).
     `last` is `codes_at`'s last `(idx, batch)`.
     """
 
@@ -106,15 +115,17 @@ class Morphism:
     name: str = "f"
     table: Optional[np.ndarray] = field(default=None, repr=False)
     table_builder: Optional[Callable] = field(default=None, repr=False)
-    derivatives: dict = field(default_factory=dict, init=False, repr=False)
+    rows: Optional[int] = field(default=None, repr=False)
     memoized: bool = field(default=False, init=False, repr=False)
     last: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         n = table_codec_size(self.dom)
-        if (self.table_builder is not None and n is not None and BLOCK < n <= TABLE_LIMIT
-                and table_codec_size(self.cod) is not None):
-            self.table_builder = _blocked(n, table_dtype(n, self.cod), self.table_builder,
+        entries = (n or 0) * (self.rows or 1)
+        if (self.table_builder is not None and n is not None and n <= TABLE_LIMIT
+                and entries > BLOCK and table_codec_size(self.cod) is not None):
+            self.table_builder = _blocked(n, self.rows, table_dtype(entries, self.cod),
+                                          self.table_builder,
                                           functools.partial(_closure_codes, self.dom, self.cod,
                                                             self.fn))
 
@@ -185,33 +196,45 @@ def coord_builder(space: Space, fn: Callable, bound: Callable[[int], int]) -> Ca
 
 
 def table_dtype(n: int, cod: Space) -> np.dtype:
-    """The dtype of a table of `n` codes into the codec space `cod`: int64
-    up to BLOCK codes, else the narrowest unsigned dtype of at most 32 bits
-    that holds the codes of `cod` (int64 when none does)."""
+    """The dtype of a table of `n` entries (codes times rows) into the codec
+    space `cod`: int64 up to BLOCK entries, else the narrowest unsigned dtype
+    of at most 32 bits that holds the codes of `cod` (int64 when none does)."""
     narrow = np.min_scalar_type(table_codec_size(cod) - 1)
     return narrow if n > BLOCK and narrow.itemsize < 8 else np.dtype(np.int64)
 
 
-def _blocked(n: int, dtype: np.dtype, build: Callable, closure: Callable) -> Callable:
+def _blocked(n: int, rows: Optional[int], dtype: np.dtype, build: Callable,
+             closure: Callable) -> Callable:
     """`build` on a codec domain of `n` codes, except that a call without
-    `idx` fills the table BLOCK codes at a time, into a preallocated array
-    of `dtype`: no whole-domain temporaries. A block that `build` cannot
-    give (None, or an OverflowError) is filled by `closure(codes, dtype)`,
-    and the other blocks keep their batches. The call keeps its signature,
-    so whoever holds the builder (`tabulate`, or a wrapper of it) gets the
-    blocks."""
+    `idx` fills the table (a row per subject when `rows` is set) in blocks
+    of at most BLOCK entries, into a preallocated array of `dtype`: no
+    whole-domain temporaries. A block that `build` cannot give (None, or an
+    OverflowError) is filled by `closure(codes, dtype)`, and the other
+    blocks keep their batches. The call keeps its signature, so whoever
+    holds the builder (`tabulate`, or a wrapper of it) gets the blocks."""
+    step = max(1, BLOCK // (rows or 1))
 
     def blocked(idx=None):
         if idx is not None:
             return build(idx)
-        out = np.empty(n, dtype)
-        for start in range(0, n, BLOCK):
-            codes = np.arange(start, min(n, start + BLOCK), dtype=np.int64)
+        out = np.empty(n if rows is None else (rows, n), dtype)
+        for start in range(0, n, step):
+            codes = np.arange(start, min(n, start + step), dtype=np.int64)
             part = _built(build, codes)
-            out[start:start + len(codes)] = closure(codes, dtype) if part is None else part
+            out[..., start:start + len(codes)] = closure(codes, dtype) if part is None else part
         return out
 
     return blocked
+
+
+class Unstacked(Exception):
+    """A stacked map met a step without batches, where it has no closure to
+    fall back on: its pool runs subject by subject instead."""
+
+
+def no_closure(x):
+    """The closure of a stacked map, which has a value per subject."""
+    raise Unstacked("a stacked map has no closure")
 
 
 def _closure_codes(dom: Space, cod: Space, fn: Callable, codes, dtype=np.int64) -> np.ndarray:
@@ -252,7 +275,7 @@ def _built(builder: Callable, *idx) -> Optional[np.ndarray]:
 
 
 def _tabulates(m: Morphism, request: int) -> bool:
-    """Rules 1-3 of `codes_at` for a read of `request` codes."""
+    """Rules 1-3 of `codes_at` for a read of `request` codes per table row."""
     n = table_codec_size(m.dom) or 0
     return (n <= min(BLOCK, TABULATE_RATIO * request)
             or m.memoized and request > MAX_CHUNK
@@ -279,6 +302,10 @@ def codes_at(m: Morphism, idx: Optional[np.ndarray] = None) -> Optional[np.ndarr
     between codec spaces without one, by the closure once per distinct
     code. None when the builder is missing or would overflow int64.
 
+    A stacked map's table is read at the same codes in every row for a 1-D
+    request, and row by row for a `(rows, N)` one; the rules count a
+    request per table row.
+
     A batch for at most MAX_CHUNK codes from the builder or the closure is
     read-only, and kept for the same request object (`is`, not equal values):
     a sub-map shared within a chunk runs once. So a builder never writes into
@@ -290,21 +317,28 @@ def codes_at(m: Morphism, idx: Optional[np.ndarray] = None) -> Optional[np.ndarr
     if last is not None and last[0] is idx:
         return last[1]
     tbl = m.table
-    if tbl is None and (idx is None or _tabulates(m, len(idx))):
+    if tbl is None and (idx is None or _tabulates(m, idx.size if m.rows is None
+                                                  else idx.shape[-1])):
         tbl = tabulate(m)
-    if tbl is not None:
-        out = tbl if idx is None else tbl[idx]  # `take` would copy a read-only idx
+    if tbl is not None:  # `take` would copy a read-only idx
+        if idx is None:
+            out = tbl
+        elif tbl.ndim == 1:
+            out = tbl[idx]
+        else:
+            out = tbl[:, idx] if idx.ndim == 1 else np.take_along_axis(tbl, idx, axis=1)
         return out if out.itemsize == 8 else out.astype(np.int64)
     if m.table_builder is not None:
         out = _built(m.table_builder, idx)
         if isinstance(m, Wiring) and idx is not None:
-            m.given += len(idx)
+            m.given += idx.size
     elif table_codec_size(m.dom) is None or table_codec_size(m.cod) is None:
         return None
     else:
-        codes, inverse = np.unique(domain_codes(m.dom, idx), return_inverse=True)
-        out = _closure_codes(m.dom, m.cod, m.fn, codes)[inverse]
-    if out is not None and idx is not None and len(idx) <= MAX_CHUNK:
+        codes = domain_codes(m.dom, idx)
+        uniq, inverse = np.unique(codes, return_inverse=True)
+        out = _closure_codes(m.dom, m.cod, m.fn, uniq)[inverse.reshape(codes.shape)]
+    if out is not None and idx is not None and idx.size <= MAX_CHUNK:
         out.setflags(write=False)
         m.last = (idx, out)
     return out
@@ -396,6 +430,7 @@ class EqualityReport:
     counterexample: Optional[dict] = None  # {"input":..., "lhs":..., "rhs":...}
     mode: str = "exhaustive"
     seed: Optional[int] = None
+    misses: Optional[dict] = None  # stacked maps: failing row -> its checked count
 
 
 def to_jsonable(x):
@@ -426,8 +461,8 @@ def _code_mismatch(f: Morphism, g: Morphism, x: np.ndarray, strat) -> Optional[n
     b = None if a is None else codes_at(g, x)
     if b is None:
         return None
-    ne = a != b
-    return ne if ne.ndim == 1 else ne.any(axis=1)
+    ne = a != b  # codes: (N,), or (rows, N) on stacked maps; else (N, d) coordinates
+    return ne if table_codec_size(f.cod) else ne.any(axis=1)
 
 
 def _float_columns(m: Morphism, p, n: int) -> Optional[np.ndarray]:
@@ -471,6 +506,7 @@ def morphisms_equal(f: Morphism, g: Morphism, strat: EqualityStrategy) -> Equali
         raise DomainMismatch(f"cannot compare {f!r} with {g!r}")
     dom = f.dom
     strat = strat.resolve(dom)
+    rows = f.rows or g.rows
     if isinstance(strat.mode, Exhaustive):
         count, seed = space_size(dom), None
         if count is None or count > strat.bound:
@@ -480,6 +516,8 @@ def morphisms_equal(f: Morphism, g: Morphism, strat: EqualityStrategy) -> Equali
             )
     else:
         count, seed = strat.mode.count, strat.mode.seed
+    if rows is not None:
+        return _rows_equal(f, g, strat, count, seed, rows)
     mismatch = _column_mismatch if real_stage(dom) else (
         _code_mismatch if has_batches(dom) and has_batches(f.cod) else None)
     if mismatch is None:
@@ -509,6 +547,43 @@ def morphisms_equal(f: Morphism, g: Morphism, strat: EqualityStrategy) -> Equali
             return _refuted(start + k + 1, p, lhs, rhs, strat, seed)
         start, size = stop, MAX_CHUNK
     return EqualityReport(True, count, mode=strat.describe(), seed=seed)
+
+
+def _rows_equal(f: Morphism, g: Morphism, strat, count: int, seed, rows: int) -> EqualityReport:
+    """`morphisms_equal` of stacked maps, each row a subject's comparison:
+    `misses` gives each failing row's first mismatch in test order, plus one,
+    and `checked` sums them with the test-set size of each row that passes.
+    The points, and the tables a chunk fills, are those of one subject's
+    comparison; a chunk is read at most MAX_CHUNK entries at a time, and rows
+    that have failed drop out. Unstacked where a batch is missing."""
+    dom = f.dom
+    if not table_codec_size(dom):
+        raise Unstacked(f"no codes on {format_space(dom)}")
+    draw = None if seed is None else batch_sampler(dom, seed)
+    live, misses = np.ones(rows, dtype=bool), {}
+    start, size, step = 0, MAX_CHUNK if seed is None else FIRST_CHUNK, max(1, MAX_CHUNK // rows)
+    while start < count and live.any():
+        stop = min(count, start + size)
+        x = enum_batch(dom, start, stop) if seed is None else draw(stop - start)
+        for m in (f, g):
+            if m.table is None and _tabulates(m, stop - start):
+                tabulate(m)
+        for lo in range(0, stop - start, step):
+            ne = _code_mismatch(f, g, x[lo:lo + step], strat)
+            if ne is None:
+                raise Unstacked(f"no batches of {f!r} or {g!r}")
+            if not ne.any():
+                continue
+            ne = np.broadcast_to(ne, (rows, ne.shape[-1])) & live[:, None]
+            hit = ne.any(axis=1)
+            for r, k in zip(np.flatnonzero(hit).tolist(), ne[hit].argmax(axis=1).tolist()):
+                misses[r] = start + lo + k + 1
+            live &= ~hit
+            if not live.any():
+                break
+        start, size = stop, MAX_CHUNK
+    checked = sum(misses.values()) + count * (rows - len(misses))
+    return EqualityReport(not misses, checked, mode=strat.describe(), seed=seed, misses=misses)
 
 
 # ---------------------------------------------------------------------------

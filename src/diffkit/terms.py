@@ -42,7 +42,7 @@ import random
 import re
 from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
-from .errors import DiffkitError, SizeExceeded, TermSyntaxError, TermTypeError
+from .errors import DiffkitError, InternalError, SizeExceeded, TermSyntaxError, TermTypeError
 from .spaces import Product, Space, TERMINAL, derive_seed, flatten, sample_space
 
 if TYPE_CHECKING:
@@ -348,12 +348,15 @@ def interpret(
             target.ref = space
     fill = space if space is not None else model.default_space
     # every primitive is looked up before anything is built, so an unknown
-    # one is reported ahead of a model refusing a derivative elsewhere
+    # one is reported ahead of a model refusing a derivative elsewhere; a
+    # factory that crashes otherwise is a bug, not bad input
     for name, a, path in ty.prims:
         try:
             model.primitive(name, _resolve(a, fill))
-        except Exception as exc:
+        except DiffkitError as exc:
             raise TermTypeError(f"primitive {name!r} not available: {exc}", path)
+        except Exception as exc:
+            raise InternalError(f"the factory of primitive {name!r} failed: {exc!r}") from exc
     prog, cat = _Program(fill), BaseCat(model)
     root = prog.emit(node, {})
     return _run(cat, {}, *prog.for_cat(cat))[root]

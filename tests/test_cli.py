@@ -302,3 +302,41 @@ def test_table_format_shows_unknown(capsys):
                     "--space", "Int[-100,100]", "--format", "table")
     assert code == 0
     assert "unknown" in out
+
+
+def test_a_failed_kleisli_self_check_exits_three(capsys, monkeypatch):
+    # a wrong multiplication (the eps term dropped) makes the closed form and
+    # mu . T(g) . f disagree: a bug in diffkit, reported with the point and
+    # both values on one line, and exit 3
+    from diffkit import monad
+
+    def wrong_mu(model, a):
+        p, q = monad.projection(0, a, a), monad.projection(1, a, a)
+        tt = monad.T_space(a)
+        return monad.pair(monad.compose(p, monad.projection(0, tt, tt)),
+                          monad.add(monad.compose(q, monad.projection(0, tt, tt)),
+                                    monad.compose(p, monad.projection(1, tt, tt))))
+
+    monkeypatch.setattr(monad, "mu", wrong_mu)
+    code = main(["kleisli-check", "--model", "findiff", "--space", "Z5"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 3 and len(err) == 1
+    assert err[0].startswith("error: internal: Kleisli composition self-check failed at ")
+    assert "closed form gives" in err[0] and "None" not in err[0]
+
+
+def test_a_crashing_primitive_factory_exits_three(capsys, monkeypatch):
+    # a factory's DiffkitError is bad input (exit 2); anything else is a bug
+    def broken(space):
+        raise RuntimeError("factory bug")
+
+    def model_with_broken(text):
+        model = get_model(text)
+        model.register_primitive("broken", broken)
+        return model
+
+    monkeypatch.setattr(cli, "get_model", model_with_broken)
+    code = main(["eval", "--space", "Z5", "--term", "(prim broken)", "--at", "3"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 3 and len(err) == 1
+    assert err[0].startswith("error: internal: ") and "factory bug" in err[0]

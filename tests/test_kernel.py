@@ -26,6 +26,7 @@ from diffkit.kernel import (
     pair,
     pool_report,
     projection,
+    SubjectPool,
     terminal_map,
     zero_map,
 )
@@ -273,15 +274,23 @@ def test_epsilon_pairing_compatibility():
     ("findiff", Z7),
     ("streams:k=4", StreamPrefix(Z3, 4)),
 ])
-def test_derivative_memo_dies_with_its_morphism(spec, space):
+def test_derivative_memo_dies_with_its_pool(spec, space):
+    # the pool keeps d[f] and d[d[f]] for its run, and nothing in the memo
+    # refers back to it: reference counting frees a finished run
     model = get_model(spec)
-    subjects = model.random_subjects(space, 5, seed=2)
-    firsts = [model.derivative(f) for f in subjects]
-    assert all(model.derivative(f) is d for f, d in zip(subjects, firsts))
-    refs = [weakref.ref(f) for f in subjects]
-    del subjects, firsts
-    gc.collect()
-    assert [r() for r in refs] == [None] * 5
+    pool = SubjectPool(model, model.random_subjects(space, 5, seed=2))
+    cat = pool.cat()
+    firsts = [cat.derivative(f) for f in pool.subjects]
+    seconds = [cat.derivative(d) for d in firsts]
+    assert all(cat.derivative(f) is d for f, d in zip(pool.subjects, firsts))
+    assert all(pool.cat().derivative(d) is d2 for d, d2 in zip(firsts, seconds))
+    refs = [weakref.ref(m) for m in (*pool.subjects, *firsts, *seconds)]
+    gc.disable()
+    try:
+        del pool, cat, firsts, seconds
+        assert [r() for r in refs] == [None] * 15
+    finally:
+        gc.enable()
 
 
 # The per-subject loop that `axiom_pool_report` replaces for the axioms of
@@ -538,14 +547,14 @@ def test_the_identity_on_codes_gives_the_request_itself(monkeypatch):
     # CdC7a's <<x,y>,<z,w>> into (A x A) x (A x A) has the stage's codes, so
     # d2f is read at the chunk's own codes
     a = parse_space("(Z5 x Z5)")
-    cat = BaseCat(fd)
-    (f,) = fd.random_subjects(a, 1, seed=3)
+    pool = SubjectPool(fd, fd.random_subjects(a, 1, seed=3))
+    cat, (f,) = pool.cat(), pool.subjects
     ((_, lhs, _),) = axiom_sides(cat, fd, "CdC7a", [f])
     stage, (x, y, z, w) = cat.generic_points([a] * 4)
     wire = cat.pair(cat.pair(x, y), cat.pair(z, w))
     idx = np.arange(MAX_CHUNK, 2 * MAX_CHUNK, dtype=np.int64)
     assert not wire.moves and wire.table_builder(idx) is idx and codes_at(wire, idx) is idx
-    d2, reads = fd.derivative(fd.derivative(f)), []
+    d2, reads = cat.derivative(cat.derivative(f)), []
     read = kernel.codes_at
     monkeypatch.setattr(kernel, "codes_at", lambda m, i=None: reads.append((m, i)) or read(m, i))
     codes_at(lhs, idx)
