@@ -9,8 +9,9 @@ building an axiom's sides, the sides of the whole suite on a fresh cat
 subjects (on a small stage, and exhaustively on a large one whose wirings
 the pool shares), a whole `check` over a stacked pool, tabulating
 a composite and a second derivative (in blocks), one stage compared exhaustively against the same number of
-sampled points, a whole codec stage compared exhaustively, and Kleisli
-composition under each oracle strategy.
+sampled points, a whole codec stage compared exhaustively, Kleisli
+composition under each oracle strategy, the Kleisli suite over a stacked
+pool, and a Cayley-table gather on a pool batch in either memory order.
 """
 
 import numpy as np
@@ -23,6 +24,7 @@ from diffkit.monad import (
     DEFAULT_ORACLE,
     KleisliCat,
     T_map,
+    check_kleisli_cdc,
     kleisli_compose,
     random_kleisli_subjects,
 )
@@ -35,7 +37,7 @@ from diffkit.morphisms import (
     morphisms_equal,
     tabulate,
 )
-from diffkit.spaces import batch_sampler, flatten, leaves, parse_space, sample_space
+from diffkit.spaces import _gather, batch_sampler, flatten, leaves, parse_space, sample_space
 
 STREAM = parse_space("Stream(Z3,8)")
 STREAM4 = parse_space("Stream(Z3,4)")
@@ -211,6 +213,28 @@ def test_pooled_check_findiff_z7(benchmark):
     reports = benchmark.pedantic(run_check, (model, space, axioms, 50, 42, strat), rounds=10,
                                  iterations=1)
     assert sum(r.checked for r in reports) == 514_864 and all(r.passed for r in reports)
+
+
+@pytest.mark.benchmark(group="kleisli-check streams:k=4 on Stream(Z3,4), a pool of 2")
+def test_pooled_kleisli_streams(benchmark):
+    # the two Kleisli subjects are one stacked pool: each law program, with
+    # the self-check of each of its compositions, runs once for both
+    model, strat = get_model("streams:k=4"), EqualityStrategy(Auto(24, 42))
+    reports = benchmark.pedantic(check_kleisli_cdc, (model, STREAM4, strat),
+                                 {"subjects": 2, "seed": 42}, rounds=5, iterations=1)
+    assert sum(r.checked for r in reports) == 132_252 and all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.benchmark(group="Cayley-table gather on a (2, 32768) batch of Z5")
+def test_gather_on_a_pool_batch(benchmark, order):
+    # the batches of a stacked map are (S, N); read in Fortran order they
+    # make every elementwise kernel downstream strided
+    z5 = parse_space("Z5")
+    rng = np.random.default_rng(42)
+    a, b = (np.asarray(rng.integers(0, 5, size=(2, 32768)), order=order) for _ in range(2))
+    out = benchmark(_gather, z5, "sub", 0, a, b)
+    assert (out == (a - b) % 5).all()
 
 
 @pytest.mark.parametrize("spec,text,oracle", [

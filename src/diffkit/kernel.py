@@ -17,8 +17,8 @@ equivalent to quantifying the law over sampled/enumerated element points.
 
 Every subject of a pool is compared at the same points, so a pool of
 subjects on one small codec domain is stacked into one map with a row per
-subject (`SubjectPool`), and each law program runs once for the whole pool
-(`stacked_report`).
+subject (`SubjectPool`; a pool of Kleisli maps, one per component), and
+each law program runs once for the whole pool (`stacked_report`).
 """
 
 from __future__ import annotations
@@ -542,29 +542,43 @@ def pool_report(pool: Sequence, check, noun: str) -> Optional[LawReport]:
 class SubjectPool:
     """The subjects of one run, and the memo of their derivatives.
 
-    The pool is stacked when it has S >= 2 subjects between the same two
-    codec spaces, with a domain of at most MAX_CHUNK codes. Each subject is
-    tabulated, and `stacked` is `(f, g)`: `f` holds their tables as its
-    rows, a `(S, n)` table, and `g` the same rows rolled by one, as an
-    arity-2 law pairs subject i with subject i + 1. A law program run on
-    `f` and `g` checks every subject at once (`stacked_report`). Other
-    pools, and a stacked run that meets a map without batches or an error,
-    run subject by subject.
+    A subject is made of maps, its `parts`: a base map is its own one part,
+    a Kleisli map has two (`monad.KleisliPool`). The pool is stacked when it
+    has S >= 2 subjects whose parts are each between the same two codec
+    spaces, with a domain of at most MAX_CHUNK codes. Each part is
+    tabulated, and stacked (`_stack`) into a map `f` that holds those tables
+    as its rows, an `(S, n)` table, and a map `g` of the same rows rolled by
+    one, as an arity-2 law pairs subject i with subject i + 1; `stacked` is
+    `(f, g)`, each `assemble`d from its parts. A law program run on them in
+    the pool's category (`cat`) checks every subject at once
+    (`stacked_report`). Other pools, and a stacked run that meets a map
+    without batches or an error, run subject by subject.
 
-    `derivatives` memoizes d[m] for the subjects, the stacked maps and
-    their derivatives, for every axiom of the run (`BaseCat.derivative`).
+    `derivatives` memoizes d[m] for the parts of the subjects, the stacked
+    parts and their derivatives, for every axiom of the run
+    (`BaseCat.derivative`).
     """
 
-    def __init__(self, model: DifferenceModel, subjects: Sequence[Morphism]):
+    def __init__(self, model: DifferenceModel, subjects: Sequence):
         self.model = model
         self.subjects = list(subjects)
-        self.derivatives = dict.fromkeys(self.subjects)
+        self.derivatives = dict.fromkeys(m for s in self.subjects for m in self.parts(s))
+
+    @staticmethod
+    def parts(subject) -> tuple:
+        return (subject,)
+
+    @staticmethod
+    def assemble(parts: tuple):
+        return parts[0]
 
     @functools.cached_property
     def stacked(self) -> Optional[tuple]:
-        out = _stack(self.subjects)
-        self.derivatives.update(dict.fromkeys(out or ()))
-        return out
+        stacks = [_stack(list(ms)) for ms in zip(*map(self.parts, self.subjects))]
+        if not stacks or None in stacks:
+            return None
+        self.derivatives.update(dict.fromkeys(m for s in stacks for m in s))
+        return tuple(self.assemble(ms) for ms in zip(*stacks))
 
     def cat(self) -> BaseCat:
         return BaseCat(self.model, self.derivatives)
@@ -592,10 +606,11 @@ def _stack(subjects: list) -> Optional[tuple]:
 
 
 def stacked_report(pool: SubjectPool, axiom: str, sides: Callable, strat: EqualityStrategy,
-                   tag: str, noun: str, cat: BaseCat) -> Optional[LawReport]:
+                   tag: str, noun: str, cat) -> Optional[LawReport]:
     """The LawReport of `axiom` over a stacked pool, from one law program:
     `sides(cat, f, g)` gives its `(label, lhs, rhs)` clauses, here on the
-    stacked maps, with `cat` one of `pool.cat()`. It reads as the
+    stacked subjects, with `cat` one of `pool.cat()`, which compares them
+    (`cat.equal`). It reads as the
     per-subject loop (`pool_report`) would: `checked` sums every subject's
     comparisons, `violations` counts the failing (subject, clause) pairs,
     and the counterexample is that of the lowest failing subject's first
@@ -614,7 +629,7 @@ def stacked_report(pool: SubjectPool, axiom: str, sides: Callable, strat: Equali
 
     try:
         clauses = sides(cat, *pool.stacked)
-        reps = [morphisms_equal(lhs, rhs, seeded(label)) for label, lhs, rhs in clauses]
+        reps = [cat.equal(lhs, rhs, seeded(label)) for label, lhs, rhs in clauses]
     except (Unstacked, DiffkitError):
         return None
     checked, violations, first = 0, 0, None  # first: (row, clause, checked)
@@ -632,7 +647,7 @@ def stacked_report(pool: SubjectPool, axiom: str, sides: Callable, strat: Equali
     if first is not None:
         row, i, want = first
         label, lhs, rhs = sides(cat, subjects[row], subjects[(row + 1) % size])[i]
-        rep = morphisms_equal(lhs, rhs, seeded(label))
+        rep = cat.equal(lhs, rhs, seeded(label))
         if rep.passed or rep.checked != want:
             raise InternalError(f"{axiom}, clause {label!r}: the stacked pool finds subject "
                                 f"{row} failing after {want} points, the subject alone "
@@ -644,21 +659,19 @@ def stacked_report(pool: SubjectPool, axiom: str, sides: Callable, strat: Equali
 
 
 def axiom_pool_report(model: DifferenceModel, axiom: str, pool, strat: EqualityStrategy,
-                      noun: str, cat=None) -> Optional[LawReport]:
-    """`pool_report` of `check_axiom`, with one `cat` for the whole pool, so
-    its structure maps are built once. `pool` is a `SubjectPool`, or a list
-    of subjects that becomes one; with a `cat` (such as a `monad.KleisliCat`)
-    it is a list, run subject by subject. A stacked pool runs the law once
+                      noun: str) -> Optional[LawReport]:
+    """`pool_report` of `check_axiom` in the category of `pool`, a
+    `SubjectPool` (a `monad.KleisliPool` for the Kleisli category) or a list
+    of base maps that becomes one, with one `pool.cat()` for the whole pool,
+    so its structure maps are built once. A stacked pool runs the law once
     (`stacked_report`). An axiom of arity "space" (CdC3, EpsVanishing) reads
     only its subjects' domain: on a pool that shares one it runs for the
     first subject alone and counts once per subject."""
-    if cat is None:
-        pool = pool if isinstance(pool, SubjectPool) else SubjectPool(model, pool)
-        cat = pool.cat()
-    subjects = pool.subjects if isinstance(pool, SubjectPool) else pool
+    pool = pool if isinstance(pool, SubjectPool) else SubjectPool(model, pool)
+    cat, subjects = pool.cat(), pool.subjects
     once = axiom in LAWS and LAWS[axiom].arity == "space" and all(
         f.dom == subjects[0].dom for f in subjects)
-    if not once and isinstance(pool, SubjectPool):
+    if not once:
         rep = stacked_report(pool, axiom, lambda c, f, g: axiom_sides(c, model, axiom, [f, g]),
                              strat, model.tag, noun, cat)
         if rep is not None:

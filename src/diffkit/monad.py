@@ -16,7 +16,9 @@ The monad's laws are rows of `terms.LAWS`, where `T`, `eta`, `mu` and
 `phi` are part of the syntax; `TangentCat` builds them with the functions
 below. The Kleisli category is itself a difference category: `KleisliCat`
 runs the axiom rows of `kernel` there, with generalized points of A taken
-as base maps into T(A).
+as base maps into T(A). Its subjects form a `KleisliPool`, which stacks
+each component across the pool, so each law program, with the self-check
+of each of its compositions, runs once per pool where the components fit.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .kernel import (
     COHERENCE,
     BaseCat,
     DifferenceModel,
+    SubjectPool,
     add,
     axiom_pool_report,
     compose,
@@ -46,6 +49,7 @@ from .morphisms import (
     LawReport,
     Morphism,
     Sampled,
+    Unstacked,
     morphisms_equal,
     report_from_equalities,
 )
@@ -212,6 +216,15 @@ def kleisli_derivative(model: DifferenceModel, f: KleisliMap, derive=None) -> Kl
     return KleisliMap(Product(f.dom, f.dom), f.cod, derive(f.f0), derive(f.f1))
 
 
+def closed_form(model: DifferenceModel, g: KleisliMap, f: KleisliMap, derive) -> KleisliMap:
+    """The composite g . f in closed form, <g0.f0, d[g0]<f0,f1> + g1.(f0 (+) f1)>,
+    with d[g0] from `derive`."""
+    c0 = compose(g.f0, f.f0)
+    c1 = add(compose(derive(g.f0), pair(f.f0, f.f1)),
+             compose(g.f1, add(f.f0, model.epsilon(f.f1))))
+    return KleisliMap(f.dom, g.cod, c0, c1)
+
+
 def kleisli_compose(
     model: DifferenceModel,
     g: KleisliMap,
@@ -219,26 +232,26 @@ def kleisli_compose(
     oracle_strat: EqualityStrategy = DEFAULT_ORACLE,
     derive=None,
 ) -> KleisliMap:
-    """Closed-form composition <g0.f0, d[g0]<f0,f1> + g1.(f0 (+) f1)>, with
-    d[g0] from `derive` (a cat's memo; None: `model.derivative`).
+    """`closed_form` of g . f, with d[g0] from `derive` (a cat's memo; None:
+    `model.derivative`).
 
     Every call recomputes the definitional form mu . T(g) . f and asserts
     agreement under `oracle_strat`; a disagreement is a bug in diffkit
-    (InternalError), reported with the point and both values.
+    (InternalError), reported with the point and both values. On stacked
+    maps (`KleisliPool`) one check covers every subject at the same points;
+    a disagreement there raises `Unstacked`, so the pool runs subject by
+    subject and the failing subject's own check gives the point.
     """
     if f.cod != g.dom:
         raise DomainMismatch(f"cannot compose {g.name} after {f.name}")
-    c0 = compose(g.f0, f.f0)
-    c1 = add(
-        compose((derive or model.derivative)(g.f0), pair(f.f0, f.f1)),
-        compose(g.f1, add(f.f0, model.epsilon(f.f1))),
-    )
-    out = KleisliMap(f.dom, g.cod, c0, c1)
+    out = closed_form(model, g, f, derive or model.derivative)
     definitional = compose(mu(model, g.cod),
                            compose(T_map(model, g.as_base()), f.as_base()))
     rep = morphisms_equal(out.as_base(), definitional, oracle_strat)
     if not rep.passed:
         cx = rep.counterexample
+        if cx is None:  # stacked maps: a row failed, and its point is its own
+            raise Unstacked("the Kleisli composition self-check fails on a stacked pool")
         raise InternalError(f"Kleisli composition self-check failed at {cx['input']}: "
                             f"the closed form gives {cx['lhs']}, mu . T(g) . f gives {cx['rhs']}")
     return out
@@ -271,8 +284,9 @@ class KleisliCat:
     builds the point stages, so its structure maps are shared, and takes the
     derivatives of components: `derivatives` is the memo of a pool's
     components (`BaseCat`). Kleisli maps themselves are not memoized, so a
-    law compiled on this cat (`compiled`) keeps none and builds every step
-    again for each subject.
+    law compiled on this cat (`compiled`) keeps none and builds every step,
+    self-checks included, each time it runs: once per pool when the pool is
+    stacked (`KleisliPool`), else once per subject.
     """
 
     def __init__(self, model: DifferenceModel, oracle_strat: EqualityStrategy = DEFAULT_ORACLE,
@@ -330,6 +344,30 @@ def random_kleisli_subjects(
     ]
 
 
+class KleisliPool(SubjectPool):
+    """A `SubjectPool` of Kleisli maps. A subject's parts are its two
+    components, so a stacked pool is a Kleisli map of stacked components,
+    and its laws run in the Kleisli category (`KleisliCat`, with
+    `oracle_strat` the self-check of every composition)."""
+
+    def __init__(self, model: DifferenceModel, subjects: Sequence[KleisliMap],
+                 oracle_strat: EqualityStrategy = DEFAULT_ORACLE):
+        super().__init__(model, subjects)
+        self.oracle_strat = oracle_strat
+
+    @staticmethod
+    def parts(k: KleisliMap) -> tuple:
+        return k.f0, k.f1
+
+    @staticmethod
+    def assemble(parts: tuple) -> KleisliMap:
+        f0, f1 = parts
+        return KleisliMap(f0.dom, f0.cod, f0, f1)
+
+    def cat(self) -> KleisliCat:
+        return KleisliCat(self.model, self.oracle_strat, self.derivatives)
+
+
 def check_kleisli_cdc(
     model: DifferenceModel,
     a: Space,
@@ -338,16 +376,16 @@ def check_kleisli_cdc(
     seed: int = 0,
     oracle_strat: EqualityStrategy = DEFAULT_ORACLE,
 ) -> list[LawReport]:
-    """The full coherence suite, run inside the Kleisli category.
+    """The full coherence suite, run inside the Kleisli category on one
+    `KleisliPool`.
 
     When the base infinitesimal extension is zero (the smooth model),
     the Kleisli derivative is additive in its second argument as well,
     so CDC2-additivity is appended there.
     """
-    subs = random_kleisli_subjects(model, a, subjects, seed)
-    cat = KleisliCat(model, oracle_strat, dict.fromkeys(c for k in subs for c in (k.f0, k.f1)))
+    pool = KleisliPool(model, random_kleisli_subjects(model, a, subjects, seed), oracle_strat)
     axioms = [*COHERENCE, *(["CDC2-additivity"] if model.tag == "smooth" else [])]
-    reports = (axiom_pool_report(model, ax, subs, strat, "random kleisli subjects", cat=cat)
+    reports = (axiom_pool_report(model, ax, pool, strat, "random kleisli subjects")
                for ax in axioms)
     return [r for r in reports if r is not None]
 

@@ -22,7 +22,8 @@ A stacked map (`kernel.SubjectPool`) holds the tables of several subjects
 as the rows of one table, and every map built from it has `rows` set: its
 batches carry a leading subject axis, `(rows, N)` codes. Structure maps
 keep one row, and indexing broadcasts them against the subject axis; the
-builders are elementwise, so they take either shape. The rules above apply
+builders are elementwise, so they take either shape. A pool table is read in
+C order, so every batch built from it is C-ordered too. The rules above apply
 per row, and a table of more than BLOCK entries in all is filled in blocks.
 
 `morphisms_equal` walks its test set in one loop of chunks (stacked maps:
@@ -303,8 +304,8 @@ def codes_at(m: Morphism, idx: Optional[np.ndarray] = None) -> Optional[np.ndarr
     code. None when the builder is missing or would overflow int64.
 
     A stacked map's table is read at the same codes in every row for a 1-D
-    request, and row by row for a `(rows, N)` one; the rules count a
-    request per table row.
+    request, and row by row for a `(rows, N)` one, into a C-ordered batch;
+    the rules count a request per table row.
 
     A batch for at most MAX_CHUNK codes from the builder or the closure is
     read-only, and kept for the same request object (`is`, not equal values):
@@ -320,13 +321,13 @@ def codes_at(m: Morphism, idx: Optional[np.ndarray] = None) -> Optional[np.ndarr
     if tbl is None and (idx is None or _tabulates(m, idx.size if m.rows is None
                                                   else idx.shape[-1])):
         tbl = tabulate(m)
-    if tbl is not None:  # `take` would copy a read-only idx
+    if tbl is not None:  # a 1-D `take` would copy a read-only idx
         if idx is None:
             out = tbl
         elif tbl.ndim == 1:
             out = tbl[idx]
-        else:
-            out = tbl[:, idx] if idx.ndim == 1 else np.take_along_axis(tbl, idx, axis=1)
+        else:  # `tbl[:, idx]` would be in Fortran order, and so every batch built on it
+            out = tbl.take(idx, axis=1) if idx.ndim == 1 else np.take_along_axis(tbl, idx, axis=1)
         return out if out.itemsize == 8 else out.astype(np.int64)
     if m.table_builder is not None:
         out = _built(m.table_builder, idx)

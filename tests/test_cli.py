@@ -307,7 +307,9 @@ def test_table_format_shows_unknown(capsys):
 def test_a_failed_kleisli_self_check_exits_three(capsys, monkeypatch):
     # a wrong multiplication (the eps term dropped) makes the closed form and
     # mu . T(g) . f disagree: a bug in diffkit, reported with the point and
-    # both values on one line, and exit 3
+    # both values on one line, and exit 3. On a stacked pool the one check of
+    # every subject fails first; the pool then runs subject by subject, and
+    # the failing subject's own check gives the point.
     from diffkit import monad
 
     def wrong_mu(model, a):
@@ -318,11 +320,20 @@ def test_a_failed_kleisli_self_check_exits_three(capsys, monkeypatch):
                                     monad.compose(p, monad.projection(1, tt, tt))))
 
     monkeypatch.setattr(monad, "mu", wrong_mu)
-    code = main(["kleisli-check", "--model", "findiff", "--space", "Z5"])
-    err = capsys.readouterr().err.splitlines()
-    assert code == 3 and len(err) == 1
-    assert err[0].startswith("error: internal: Kleisli composition self-check failed at ")
-    assert "closed form gives" in err[0] and "None" not in err[0]
+    tried, real = [], kernel.stacked_report
+    monkeypatch.setattr(kernel, "stacked_report",
+                        lambda pool, *a: tried.append(pool.stacked is not None)
+                        or real(pool, *a))
+    for model, space in [("findiff", "Z5"), ("streams:k=4", "Stream(Z3,4)")]:
+        for subjects in ("2", "5"):
+            tried.clear()
+            code = main(["kleisli-check", "--model", model, "--space", space,
+                         "--subjects", subjects, "--samples", "24"])
+            err = capsys.readouterr().err.splitlines()
+            assert code == 3 and len(err) == 1, (model, subjects, err)
+            assert err[0].startswith("error: internal: Kleisli composition self-check failed at ")
+            assert "closed form gives" in err[0] and "None" not in err[0]
+            assert tried == [True], (model, subjects)  # stacked, then subject by subject
 
 
 def test_a_crashing_primitive_factory_exits_three(capsys, monkeypatch):

@@ -31,7 +31,7 @@ from diffkit.kernel import (
     zero_map,
 )
 from diffkit.models import get_model
-from diffkit.monad import KleisliCat, check_kleisli_cdc, random_kleisli_subjects
+from diffkit.monad import KleisliCat, KleisliPool, check_kleisli_cdc, random_kleisli_subjects
 from diffkit.morphisms import (
     BLOCK,
     FIRST_CHUNK,
@@ -340,7 +340,7 @@ def test_subject_free_axioms_run_once_per_kleisli_pool(monkeypatch, axiom):
     noun = "random kleisli subjects"
     want = _per_subject(fd, axiom, pool, strat, noun, cat=KleisliCat(fd))
     calls.clear()
-    got = axiom_pool_report(fd, axiom, pool, strat, noun, cat=KleisliCat(fd))
+    got = axiom_pool_report(fd, axiom, KleisliPool(fd, pool), strat, noun)
     assert calls == [axiom]
     assert got.to_dict() == want.to_dict()
     if axiom == "CdC3":
@@ -408,12 +408,14 @@ def test_the_memo_keeps_no_subject(axiom):
 
 
 def test_the_kleisli_memo_keeps_no_subject():
-    # nor do the laws compiled on the cat, over every row of the table
+    # nor do the laws compiled on the cat, over every row of the table: one
+    # cat serves every (stacked) pool
     cat = KleisliCat(fd)
     for axiom in AXIOMS:
-        pool = random_kleisli_subjects(fd, Z3, 2, 5)
-        refs = [weakref.ref(k.f0) for k in pool]
-        rep = axiom_pool_report(fd, axiom, pool, AUTO, "random kleisli subjects", cat=cat)
+        pool = KleisliPool(fd, random_kleisli_subjects(fd, Z3, 2, 5))
+        pool.cat = lambda: cat
+        refs = [weakref.ref(k.f0) for k in pool.subjects]
+        rep = axiom_pool_report(fd, axiom, pool, AUTO, "random kleisli subjects")
         assert rep.passed or axiom != "CdC2"
         del pool
         gc.collect()
@@ -460,8 +462,8 @@ def test_a_shared_kleisli_cat_reports_as_fresh_cats_do():
         want = pool_report(random_kleisli_subjects(fd, Z3, 2, 14),
                            lambda f, g: check_axiom(fd, axiom, [f, g], strat, cat=KleisliCat(fd)),
                            noun)
-        got = axiom_pool_report(fd, axiom, random_kleisli_subjects(fd, Z3, 2, 14), strat, noun,
-                                cat=KleisliCat(fd))
+        got = axiom_pool_report(fd, axiom, KleisliPool(fd, random_kleisli_subjects(fd, Z3, 2, 14)),
+                                strat, noun)
         assert got.to_dict() == want.to_dict(), axiom
 
 

@@ -14,7 +14,7 @@ from diffkit.changeaction import induced_action
 from diffkit.errors import TermTypeError
 from diffkit.kernel import BaseCat, axiom_pool_report, axiom_sides
 from diffkit.models import get_model
-from diffkit.monad import KleisliCat, TangentCat, mu, random_kleisli_subjects
+from diffkit.monad import KleisliCat, KleisliPool, TangentCat, mu, random_kleisli_subjects
 from diffkit.morphisms import Auto, EqualityStrategy, Morphism
 from diffkit.spaces import parse_space
 from diffkit.terms import LAWS, Law, _compile, law_sides, parse_term
@@ -130,7 +130,7 @@ def test_kleisli_compositions_per_axiom(monkeypatch, axiom):
     real = monad.kleisli_compose
     monkeypatch.setattr(monad, "kleisli_compose", lambda *a, **k: calls.append(1) or real(*a, **k))
     pool = random_kleisli_subjects(model, parse_space("Z3"), 3, 14)
-    axiom_pool_report(model, axiom, pool, STRAT, "random kleisli subjects", cat=KleisliCat(model))
+    axiom_pool_report(model, axiom, KleisliPool(model, pool), STRAT, "random kleisli subjects")
     assert len(calls) <= COMPOSES[axiom]
 
 
