@@ -249,11 +249,12 @@ def kleisli_compose(
                            compose(T_map(model, g.as_base()), f.as_base()))
     rep = morphisms_equal(out.as_base(), definitional, oracle_strat)
     if not rep.passed:
-        cx = rep.counterexample
-        if cx is None:  # stacked maps: a row failed, and its point is its own
+        if rep.misses is not None:  # stacked maps: a row failed, and its point is its own
             raise Unstacked("the Kleisli composition self-check fails on a stacked pool")
-        raise InternalError(f"Kleisli composition self-check failed at {cx['input']}: "
-                            f"the closed form gives {cx['lhs']}, mu . T(g) . f gives {cx['rhs']}")
+        cx = rep.counterexample
+        where = (f" at {cx['input']}: the closed form gives {cx['lhs']}, "
+                 f"mu . T(g) . f gives {cx['rhs']}" if cx else "")
+        raise InternalError(f"Kleisli composition self-check failed{where}")
     return out
 
 

@@ -9,7 +9,7 @@ replaced: evaluating a row may build less than they did, never more.
 
 import pytest
 
-from diffkit import monad
+from diffkit import kernel, monad
 from diffkit.changeaction import induced_action
 from diffkit.errors import TermTypeError
 from diffkit.kernel import BaseCat, axiom_pool_report, axiom_sides
@@ -114,8 +114,8 @@ def test_a_compiled_row_is_kept_for_the_types_it_read():
     assert cat.compiled["CdC2"] is not first and lhs.dom.left == h.dom
 
 
-# kleisli_compose calls of one axiom over a pool of 3 Kleisli subjects on Z3;
-# each runs the composition's self-check oracle
+# kleisli_compose calls of one axiom over a pool of 3 Kleisli subjects on Z3,
+# run subject by subject; each runs the composition's self-check oracle
 COMPOSES = {
     "CdC0": 9, "CdC1": 0, "CdC2": 12, "CdC3": 2, "CdC4": 0, "CdC5": 9, "CdC6": 6,
     "CdC7": 6, "CdC6a": 6, "CdC7a": 6, "E1": 0, "E2": 6, "E3": 6, "CDC2-additivity": 12,
@@ -124,14 +124,35 @@ COMPOSES = {
 }
 
 
-@pytest.mark.parametrize("axiom", AXIOMS)
-def test_kleisli_compositions_per_axiom(monkeypatch, axiom):
+def _kleisli_compositions(monkeypatch, axiom) -> tuple:
+    """The kleisli_compose calls of `axiom` over the pool of COMPOSES, its
+    report and whether the pool was stacked."""
     model, calls = get_model("findiff"), []
     real = monad.kleisli_compose
     monkeypatch.setattr(monad, "kleisli_compose", lambda *a, **k: calls.append(1) or real(*a, **k))
-    pool = random_kleisli_subjects(model, parse_space("Z3"), 3, 14)
-    axiom_pool_report(model, axiom, KleisliPool(model, pool), STRAT, "random kleisli subjects")
-    assert len(calls) <= COMPOSES[axiom]
+    pool = KleisliPool(model, random_kleisli_subjects(model, parse_space("Z3"), 3, 14))
+    rep = axiom_pool_report(model, axiom, pool, STRAT, "random kleisli subjects")
+    return len(calls), rep, pool.stacked is not None
+
+
+@pytest.mark.parametrize("axiom", AXIOMS)
+def test_kleisli_compositions_per_axiom(monkeypatch, axiom):
+    # stacked, the law program runs once for the pool: one subject's share of
+    # COMPOSES, and once more, for the lowest failing subject alone, when the
+    # law fails; an axiom of arity "space" runs for one subject either way
+    calls, rep, stacked = _kleisli_compositions(monkeypatch, axiom)
+    assert stacked
+    if LAWS[axiom].arity == "space":
+        assert calls <= COMPOSES[axiom]
+    else:
+        assert calls <= COMPOSES[axiom] // 3 * (2 if rep.violations else 1)
+
+
+@pytest.mark.parametrize("axiom", AXIOMS)
+def test_kleisli_compositions_per_axiom_alone(monkeypatch, axiom):
+    monkeypatch.setattr(kernel, "_stack", lambda subjects: None)
+    calls, _, stacked = _kleisli_compositions(monkeypatch, axiom)
+    assert not stacked and calls <= COMPOSES[axiom]
 
 
 # morphisms constructed by one axiom over a pool of 3 subjects, with one

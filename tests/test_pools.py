@@ -17,12 +17,13 @@ import pytest
 
 from diffkit import kernel, monad
 from diffkit.cli import SUITE_AXIOMS, main, run_check
-from diffkit.errors import NotAdditive
+from diffkit.errors import InternalError, NotAdditive
 from diffkit.kernel import COHERENCE, SubjectPool, add, axiom_pool_report, compose, pair, zero_map
 from diffkit.models import FinDiffModel, get_model
 from diffkit.models.findiff import difference_derivative
 from diffkit.monad import KleisliMap, check_kleisli_cdc
-from diffkit.morphisms import Auto, EqualityStrategy, Morphism, codes_at, no_closure
+from diffkit.morphisms import (Auto, EqualityReport, EqualityStrategy, Morphism, Unstacked,
+                               codes_at, no_closure)
 from diffkit.spaces import enum_batch, parse_space
 from diffkit.terms import LAWS
 
@@ -231,6 +232,18 @@ def test_a_wrong_closed_form_exits_three(monkeypatch, mutant, tag, space, stacke
                      "--samples", "24", "--seed", "0"])
     assert code == 3
     assert err.getvalue().startswith("error: internal: Kleisli composition self-check failed")
+
+
+def test_only_a_stacked_self_check_unstacks(monkeypatch):
+    # the marker of stacked maps is `misses`; any other failed self-check,
+    # with a counterexample or without, is a bug in diffkit (InternalError)
+    model = get_model("findiff")
+    g, f = monad.random_kleisli_subjects(model, parse_space("Z3"), 2, 0)
+    for rep, raised in [(EqualityReport(False, 3, misses={1: 3}), Unstacked),
+                        (EqualityReport(False, 3), InternalError)]:
+        monkeypatch.setattr(monad, "morphisms_equal", lambda *a, **k: rep)
+        with pytest.raises(raised):
+            monad.kleisli_compose(model, g, f)
 
 
 # ---------------------------------------------------------------------------
