@@ -7,7 +7,8 @@ in the same order. The rest time the layers a law check is built from:
 building an axiom's sides, the sides of the whole suite on a fresh cat
 (where each law row is compiled on first use), one axiom over a pool of
 subjects (on a small stage, and exhaustively on a large one whose wirings
-the pool shares), a whole `check` over a stacked pool, tabulating
+the pool shares), the two sides of one axiom compared over a stacked
+pool, a whole `check` over a stacked pool, tabulating
 a composite and a second derivative (in blocks), one stage compared exhaustively against the same number of
 sampled points, a whole codec stage compared exhaustively, Kleisli
 composition under each oracle strategy, the Kleisli suite over a stacked
@@ -201,6 +202,25 @@ def test_pooled_exhaustive_wiring(benchmark):
     rep = benchmark.pedantic(axiom_pool_report, (model, "CdC7a", pool, strat, "random subjects"),
                              rounds=7, iterations=1)
     assert rep.passed and rep.checked == 3 * 5 ** 8
+
+
+@pytest.mark.benchmark(group="CdC7a sides over a pool of 10 subjects on (Z5 x Z5), exhaustive")
+def test_stacked_cdc7a_comparison(benchmark):
+    # the vectorized comparison of a stacked pool's two sides: 390,625 points
+    # for 10 rows, read a chunk at a time after a small first read. The
+    # second derivative, a row per subject, is tabulated first, as CdC6
+    # leaves it.
+    model = get_model("findiff")
+    strat = EqualityStrategy(Exhaustive(), bound=1_000_000)
+    pool = SubjectPool(model, model.random_subjects(parse_space("(Z5 x Z5)"), 10, 42))
+    tabulate(pool.cat().derivative(pool.cat().derivative(pool.stacked[0])))
+
+    def setup():  # fresh sides each round, on the pool's derivative memo
+        ((_, lhs, rhs),) = axiom_sides(pool.cat(), model, "CdC7a", pool.stacked)
+        return (lhs, rhs, strat), {}
+
+    rep = benchmark.pedantic(morphisms_equal, setup=setup, rounds=7, iterations=1)
+    assert rep.passed and rep.checked == 10 * 5 ** 8 and rep.misses == {}
 
 
 @pytest.mark.benchmark(group="check findiff Z7, 50 subjects")

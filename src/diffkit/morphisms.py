@@ -27,7 +27,8 @@ C order, so every batch built from it is C-ordered too. The rules above apply
 per row, and a table of more than BLOCK entries in all is filled in blocks.
 
 `morphisms_equal` walks its test set in one loop of chunks (stacked maps:
-`_rows_equal`, the same points for every row). On a stage
+`_rows_equal`, the same points for every row, in reads of at most BLOCK
+entries after a first of at most MAX_CHUNK). On a stage
 with batches a chunk is one batch: codes or coordinates read through
 `codes_at`, or, on a real stage (every coordinate real), one call of each
 side's closure on the float64 columns of the chunk's points. Where a side
@@ -555,8 +556,12 @@ def _rows_equal(f: Morphism, g: Morphism, strat, count: int, seed, rows: int) ->
     `misses` gives each failing row's first mismatch in test order, plus one,
     and `checked` sums them with the test-set size of each row that passes.
     The points, and the tables a chunk fills, are those of one subject's
-    comparison; a chunk is read at most MAX_CHUNK entries at a time, and rows
-    that have failed drop out. Unstacked where a batch is missing."""
+    comparison, and rows that have failed drop out. The first read holds at
+    most MAX_CHUNK entries (rows times points), so a refutation whose rows
+    all fail early costs what one subject's would; every later read takes
+    the rest of the chunk, but at most BLOCK entries, the bound of a block
+    of a pool table (`_blocked`), so that its temporaries stay small.
+    Unstacked where a batch is missing."""
     dom = f.dom
     if not table_codec_size(dom):
         raise Unstacked(f"no codes on {format_space(dom)}")
@@ -569,19 +574,18 @@ def _rows_equal(f: Morphism, g: Morphism, strat, count: int, seed, rows: int) ->
         for m in (f, g):
             if m.table is None and _tabulates(m, stop - start):
                 tabulate(m)
-        for lo in range(0, stop - start, step):
+        lo = 0
+        while lo < stop - start and live.any():
             ne = _code_mismatch(f, g, x[lo:lo + step], strat)
             if ne is None:
                 raise Unstacked(f"no batches of {f!r} or {g!r}")
-            if not ne.any():
-                continue
-            ne = np.broadcast_to(ne, (rows, ne.shape[-1])) & live[:, None]
-            hit = ne.any(axis=1)
-            for r, k in zip(np.flatnonzero(hit).tolist(), ne[hit].argmax(axis=1).tolist()):
-                misses[r] = start + lo + k + 1
-            live &= ~hit
-            if not live.any():
-                break
+            if ne.any():
+                ne = np.broadcast_to(ne, (rows, ne.shape[-1])) & live[:, None]
+                hit = ne.any(axis=1)
+                for r, k in zip(np.flatnonzero(hit).tolist(), ne[hit].argmax(axis=1).tolist()):
+                    misses[r] = start + lo + k + 1
+                live &= ~hit
+            lo, step = lo + step, max(1, BLOCK // rows)
         start, size = stop, MAX_CHUNK
     checked = sum(misses.values()) + count * (rows - len(misses))
     return EqualityReport(not misses, checked, mode=strat.describe(), seed=seed, misses=misses)

@@ -15,15 +15,15 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from diffkit import kernel, monad
+from diffkit import kernel, monad, morphisms
 from diffkit.cli import SUITE_AXIOMS, main, run_check
 from diffkit.errors import InternalError, NotAdditive
 from diffkit.kernel import COHERENCE, SubjectPool, add, axiom_pool_report, compose, pair, zero_map
 from diffkit.models import FinDiffModel, get_model
 from diffkit.models.findiff import difference_derivative
 from diffkit.monad import KleisliMap, check_kleisli_cdc
-from diffkit.morphisms import (Auto, EqualityReport, EqualityStrategy, Morphism, Unstacked,
-                               codes_at, no_closure)
+from diffkit.morphisms import (BLOCK, MAX_CHUNK, Auto, EqualityReport, EqualityStrategy, Morphism,
+                               Unstacked, codes_at, no_closure)
 from diffkit.spaces import enum_batch, parse_space
 from diffkit.terms import LAWS
 
@@ -286,3 +286,49 @@ def test_pool_maps_give_c_ordered_batches():
         batch = codes_at(m, x if m.dom == df.dom else x % 81)
         assert batch.shape == (11, 4096) and batch.flags.c_contiguous, m
     assert df.table is not None and df.table.dtype == np.uint8
+
+
+# ---------------------------------------------------------------------------
+# the read schedule of stacked comparisons
+
+
+def _stacked_reads(monkeypatch, run) -> list[list[int]]:
+    """The reads of each stacked comparison that `run()` makes, in order,
+    each as its number of entries (rows times points)."""
+    comparisons = []
+    rows_equal, code_mismatch = morphisms._rows_equal, morphisms._code_mismatch
+
+    def counted_rows_equal(*args):
+        comparisons.append([])
+        return rows_equal(*args)
+
+    def counted_mismatch(f, g, x, strat):
+        if f.rows or g.rows:
+            comparisons[-1].append((f.rows or g.rows) * x.shape[-1])
+        return code_mismatch(f, g, x, strat)
+
+    monkeypatch.setattr(morphisms, "_rows_equal", counted_rows_equal)
+    monkeypatch.setattr(morphisms, "_code_mismatch", counted_mismatch)
+    run()
+    return [reads for reads in comparisons if reads]
+
+
+def test_stacked_reads_are_bounded(monkeypatch):
+    # 50 subjects, and stages of 576 and 13,824 points compared exhaustively:
+    # a first read of at most MAX_CHUNK entries is 81 points, a later one of
+    # at most BLOCK entries 1,310 points of a chunk of 4,096
+    reads = _stacked_reads(monkeypatch, lambda: _reports(get_model("module:r=2"), "(Z4 x Z6)",
+                                                         FULL, 50, 0, 100_000))
+    assert all(r[0] <= MAX_CHUNK for r in reads)
+    assert max(map(max, reads)) <= BLOCK
+    assert max(map(max, reads)) > MAX_CHUNK  # later reads do grow
+
+
+def test_a_stacked_comparison_reads_a_chunk_at_a_time(monkeypatch):
+    # CdC7a, one clause on (Z5 x Z5)^4, compares 390,625 points, 96 chunks of
+    # 4,096: with 10 subjects reads of at most MAX_CHUNK entries take 1,049
+    model = get_model("findiff")
+    (reads,) = _stacked_reads(monkeypatch, lambda: _reports(model, "(Z5 x Z5)", ["CdC7a"], 10, 42,
+                                                            1_000_000))
+    assert reads[0] <= MAX_CHUNK and max(reads) <= BLOCK
+    assert len(reads) <= 100
