@@ -12,13 +12,15 @@ pool, a whole `check` over a stacked pool, tabulating
 a composite and a second derivative (in blocks), one stage compared exhaustively against the same number of
 sampled points, a whole codec stage compared exhaustively, Kleisli
 composition under each oracle strategy, the Kleisli suite over a stacked
-pool, and a Cayley-table gather on a pool batch in either memory order.
+pool, a Cayley-table gather on a pool batch in either memory order, a
+passing sampled comparison on a stage without codes (one chunk), and the
+CLI's parser for one command against the whole tree of subcommands.
 """
 
 import numpy as np
 import pytest
 
-from diffkit.cli import SUITE_AXIOMS, run_check
+from diffkit.cli import SUITE_AXIOMS, build_parser, run_check
 from diffkit.kernel import COHERENCE, BaseCat, SubjectPool, axiom_pool_report, axiom_sides, compose
 from diffkit.models import get_model
 from diffkit.monad import (
@@ -93,6 +95,15 @@ def test_sampled_real_comparison(benchmark, text, closures):
     benchmark.group = f"CdC7a sides on ({text})^4, 256 samples"
     lhs, rhs = _sides("smooth", parse_space(text), "CdC7a")
     _compare(benchmark, lhs, rhs, EqualityStrategy(Sampled(256, 1)), closures, 5)
+
+
+@pytest.mark.parametrize("spec,text", [("smooth", "R^2"), ("findiff", "Int[-100,100]")])
+def test_sampled_comparison_without_codes(benchmark, spec, text):
+    # no table is at stake, so the 256 points are one chunk: one call on
+    # float64 columns, or one coordinate batch, per side
+    benchmark.group = "CdC0 sides, 256 samples, no codes"
+    lhs, rhs = _sides(spec, parse_space(text), "CdC0")
+    _compare(benchmark, lhs, rhs, EqualityStrategy(Sampled(256, 1)), False, 20)
 
 
 @pytest.mark.parametrize("strat", [EqualityStrategy(Exhaustive()),
@@ -291,3 +302,12 @@ def test_batch_sampler(benchmark):
 def test_batch_sampler_real(benchmark):
     space = parse_space("R^2")
     assert benchmark(lambda: batch_sampler(space, 1)(4096)).shape == (4096, 2)
+
+
+@pytest.mark.parametrize("cmd", ["check", None], ids=["one-command", "whole-tree"])
+@pytest.mark.benchmark(group="argparse set-up")
+def test_build_parser(benchmark, cmd):
+    # an invocation builds only its command's parser; no command, an
+    # unknown one or a top-level -h builds the whole tree
+    args = benchmark(build_parser, cmd).parse_args(["check", "--subjects", "3"][cmd is not None:])
+    assert args.subjects == 3

@@ -436,70 +436,92 @@ def _add_common(p, model=True, space=True):
     p.add_argument("--format", choices=["json", "table"], default="json")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="diffkit",
-        description="Discrete and smooth derivative operators with an "
-                    "executable law-checking harness.",
-    )
-    sub = ap.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("eval", help="interpret a combinator term at a point")
+def _eval_args(p):
     p.add_argument("--model", default="findiff")
     p.add_argument("--space", default=None)
     p.add_argument("--term", required=True)
     p.add_argument("--at", required=True)
     p.add_argument("--prim", action="append", help="NAME=FILE table primitive")
-    p.set_defaults(fn=_cmd_eval)
 
-    p = sub.add_parser("derive", help="symbolically differentiate a term")
+
+def _derive_args(p):
     p.add_argument("--term", required=True)
     p.add_argument("--order", type=int, default=1)
-    p.set_defaults(fn=_cmd_derive)
 
-    p = sub.add_parser("check", help="run axiom suites over random subjects")
+
+def _check_args(p):
     _add_common(p)
     p.add_argument("--axioms", default="all",
                    help="'all' (coherence suite + CA + CAD) or a comma list; "
                         "CDC2-additivity and the predicates are opt-in")
     p.add_argument("--subjects", type=int, default=50)
     p.add_argument("--prim", action="append", help="NAME=FILE table primitive")
-    p.set_defaults(fn=_cmd_check)
 
-    p = sub.add_parser("monad-laws", help="tangent monad unit/associativity")
-    _add_common(p)
-    p.add_argument("--subjects", type=int, default=4)
-    p.set_defaults(fn=_cmd_monad_laws)
 
-    p = sub.add_parser("kleisli-check", help="coherence suite in the Kleisli category")
-    _add_common(p)
-    p.add_argument("--subjects", type=int, default=6)
-    p.set_defaults(fn=_cmd_kleisli_check)
+def _subjects_args(default: int):
+    def add(p):
+        _add_common(p)
+        p.add_argument("--subjects", type=int, default=default)
 
-    p = sub.add_parser("algebra-check", help="linear algebra laws for T")
+    return add
+
+
+def _algebra_args(p):
     _add_common(p)
     p.add_argument("--nu-file", default=None,
                    help='JSON {"space": "Z5", "nu": [flat table over T(space)]}')
-    p.set_defaults(fn=_cmd_algebra_check)
 
-    p = sub.add_parser("lambda-check", help="closed-structure laws (findiff)")
+
+def _lambda_args(p):
     _add_common(p, model=False, space=False)
     p.add_argument("--max-size", type=int, default=4)
     p.add_argument("--subjects", type=int, default=20)
-    p.set_defaults(fn=_cmd_lambda_check)
 
-    p = sub.add_parser("flatness", help="flat-object conditions for one space")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_flatness)
 
+# every subcommand: (help, a function that adds its arguments, its handler)
+COMMANDS = {
+    "eval": ("interpret a combinator term at a point", _eval_args, _cmd_eval),
+    "derive": ("symbolically differentiate a term", _derive_args, _cmd_derive),
+    "check": ("run axiom suites over random subjects", _check_args, _cmd_check),
+    "monad-laws": ("tangent monad unit/associativity", _subjects_args(4), _cmd_monad_laws),
+    "kleisli-check": ("coherence suite in the Kleisli category", _subjects_args(6),
+                      _cmd_kleisli_check),
+    "algebra-check": ("linear algebra laws for T", _algebra_args, _cmd_algebra_check),
+    "lambda-check": ("closed-structure laws (findiff)", _lambda_args, _cmd_lambda_check),
+    "flatness": ("flat-object conditions for one space", _add_common, _cmd_flatness),
+}
+
+
+def _command(p: argparse.ArgumentParser, cmd: str) -> argparse.ArgumentParser:
+    _, add_args, fn = COMMANDS[cmd]
+    add_args(p)
+    p.set_defaults(fn=fn)
+    return p
+
+
+def build_parser(cmd: str | None = None) -> argparse.ArgumentParser:
+    """The parser of subcommand `cmd` alone, for the arguments after its
+    name, with the help the whole tree gives it; for None or an unknown
+    name, the whole tree. `main` builds only the named command's parser:
+    building the other seven would cost about as much each."""
+    if cmd in COMMANDS:
+        return _command(argparse.ArgumentParser(prog=f"diffkit {cmd}"), cmd)
+    ap = argparse.ArgumentParser(
+        prog="diffkit",
+        description="Discrete and smooth derivative operators with an "
+                    "executable law-checking harness.",
+    )
+    sub = ap.add_subparsers(dest="cmd", required=True)
+    for name, (help_, _, _) in COMMANDS.items():
+        _command(sub.add_parser(name, help=help_), name)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     raw = list(argv) if argv is not None else sys.argv[1:]
+    cmd = raw[0] if raw and raw[0] in COMMANDS else None
     try:
-        args = ap.parse_args(raw)
+        args = build_parser(cmd).parse_args(raw if cmd is None else raw[1:])
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     args.echo = "diffkit " + " ".join(raw)

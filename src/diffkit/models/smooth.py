@@ -28,11 +28,11 @@ from ..spaces import (
     Product,
     Real,
     Space,
+    batch_sampler,
     derive_seed,
     flatten,
     leafwise,
     leaves,
-    sample_space,
     unflatten,
 )
 
@@ -165,15 +165,16 @@ def _random_grammar_fn(space: Space, rng: random.Random):
     return fn
 
 
-def _subject_ok(space: Space, fn, probes) -> bool:
+def _subject_ok(space: Space, fn, probes: np.ndarray) -> bool:
+    """Whether `fn` stays finite and within the value cap at the (n, w)
+    float64 `probes`, in one call on their columns: an overflow or an invalid
+    operation raises there, as `math.exp` does on a point."""
     try:
-        for p in probes:
-            v = flatten(space, fn(p))
-            if any(not math.isfinite(c) or abs(c) > _SUBJECT_VALUE_CAP for c in v):
-                return False
-    except OverflowError:
+        with np.errstate(over="raise", invalid="raise"):
+            values = flatten(space, fn(unflatten(space, list(probes.T))))
+    except (OverflowError, FloatingPointError):
         return False
-    return True
+    return all(bool((np.abs(c) <= _SUBJECT_VALUE_CAP).all()) for c in values)
 
 
 class SmoothModel(DifferenceModel):
@@ -214,7 +215,7 @@ class SmoothModel(DifferenceModel):
 
     def random_subjects(self, space: Space, count: int, seed: int) -> list[Morphism]:
         self.check_space(space)
-        probes = sample_space(space, _SUBJECT_PROBES, derive_seed(seed, "smooth-probes"))
+        probes = batch_sampler(space, derive_seed(seed, "smooth-probes"))(_SUBJECT_PROBES)
         out = []
         attempt = 0
         while len(out) < count:

@@ -26,10 +26,13 @@ builders are elementwise, so they take either shape. A pool table is read in
 C order, so every batch built from it is C-ordered too. The rules above apply
 per row, and a table of more than BLOCK entries in all is filled in blocks.
 
-`morphisms_equal` walks its test set in one loop of chunks (stacked maps:
-`_rows_equal`, the same points for every row, in reads of at most BLOCK
-entries after a first of at most MAX_CHUNK). On a stage
-with batches a chunk is one batch: codes or coordinates read through
+`morphisms_equal` walks its test set in one loop of chunks of MAX_CHUNK
+points. Only on a codec stage is the first chunk of a sampled comparison
+FIRST_CHUNK points, which bounds what a refutation tabulates; without codes
+nothing is tabulated, and one call on the columns of 256 points costs about
+what one on 16 does. (Stacked maps: `_rows_equal`, the same points for every
+row, in reads of at most BLOCK entries after a first of at most MAX_CHUNK.)
+On a stage with batches a chunk is one batch: codes or coordinates read through
 `codes_at`, or, on a real stage (every coordinate real), one call of each
 side's closure on the float64 columns of the chunk's points. Where a side
 has no batch form at a chunk, or the stage has none, the closures take
@@ -76,8 +79,11 @@ from .spaces import (
 
 TABLE_LIMIT = 2_000_000  # max entries a lookup table may hold
 # A comparison evaluates its points MAX_CHUNK at a time, which bounds its
-# memory. A sampled one evaluates its first FIRST_CHUNK points alone, so that
-# a refutation stops early; an exhaustive one does not, so that its first
+# memory. A sampled one on a codec stage evaluates its first FIRST_CHUNK
+# points alone, so that a refutation in them tabulates only domains of at most
+# TABULATE_RATIO * FIRST_CHUNK codes (rule 1 of `codes_at`). Without codes
+# nothing is tabulated, and one call on 256 points costs about what one on 16
+# does, so it starts with MAX_CHUNK, as an exhaustive one does: there the first
 # chunk fills the tables of a codec stage that fits TABULATE_RATIO chunks.
 FIRST_CHUNK = 16
 MAX_CHUNK = 4096
@@ -526,7 +532,7 @@ def morphisms_equal(f: Morphism, g: Morphism, strat: EqualityStrategy) -> Equali
         points = iter(iter_space(dom) if seed is None else sample_space(dom, count, seed))
     elif seed is not None:
         draw = batch_sampler(dom, seed)
-    start, size = 0, MAX_CHUNK if seed is None else FIRST_CHUNK
+    start, size = 0, FIRST_CHUNK if seed is not None and table_codec_size(dom) else MAX_CHUNK
     while start < count:
         stop = min(count, start + size)
         if mismatch is None:

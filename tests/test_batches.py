@@ -90,9 +90,17 @@ def counted(m):
     return out
 
 
-def chunks(n):
-    """The chunks a batched comparison evaluates to decide its first n points."""
-    return 1 + -(-max(n - FIRST_CHUNK, 0) // MAX_CHUNK)
+def first_chunk(space):
+    """The size of a sampled comparison's first chunk: FIRST_CHUNK on a
+    codec stage, where it bounds what a refutation tabulates, else
+    MAX_CHUNK like every later chunk."""
+    return FIRST_CHUNK if spaces.table_codec_size(space) else MAX_CHUNK
+
+
+def chunks(space, n):
+    """The chunks a sampled batched comparison on `space` evaluates to decide
+    its first n points."""
+    return 1 + -(-max(n - first_chunk(space), 0) // MAX_CHUNK)
 
 
 def defined(f, g, strat, n):
@@ -101,7 +109,7 @@ def defined(f, g, strat, n):
     not, a real stage hands the chunk to the closures."""
     strat = strat.resolve(f.dom)
     points = sample_space(f.dom, strat.mode.count, strat.mode.seed)
-    stop = FIRST_CHUNK + MAX_CHUNK * (chunks(n) - 1)
+    stop = first_chunk(f.dom) + MAX_CHUNK * (chunks(f.dom, n) - 1)
     try:
         return all(math.isfinite(c) for x in points[:stop] for m in (f, g)
                    for c in flatten(m.cod, m(x)))
@@ -131,7 +139,7 @@ def assert_agrees(f, g, strat, batched=True):
     if batched and not real:
         assert max(calls) <= 1
     elif batched and defined(f, g, strat, rep.checked):
-        assert calls == (chunks(rep.checked) + (not rep.passed),) * 2
+        assert calls == (chunks(f.dom, rep.checked) + (not rep.passed),) * 2
     return rep
 
 
@@ -218,6 +226,36 @@ def test_first_mismatch_anywhere_in_the_test_set(spec, text, seed, strat, data):
     k = data.draw(st.integers(0, len(points) - 1))
     rep = assert_agrees(lhs, add(lhs, spike(lhs.dom, lhs.cod, points[k])), strat)
     assert not rep.passed and rep.counterexample["input"] == to_jsonable(points[k])
+
+
+def built(m):
+    """`m` with a builder that records each request it is given in `m.builds`."""
+    builds, build = [], m.table_builder
+
+    def counted_build(idx=None):
+        builds.append(idx)
+        return build(idx)
+
+    out = Morphism(m.dom, m.cod, m.fn, name=m.name, table_builder=counted_build)
+    out.builds = builds
+    return out
+
+
+@pytest.mark.parametrize("k", [FIRST_CHUNK, 100, 255])
+def test_sampled_int_stage_reads_its_sample_in_one_chunk(k):
+    # without codes no table is at stake, so a sample of 256 points is one
+    # chunk: each side's builder is reached once, even where the only
+    # mismatch lies past the FIRST_CHUNK points a codec stage reads first
+    space = parse_space("(Int[-100,100] x Int[-100,100])")
+    strat = EqualityStrategy(Sampled(256, 7))
+    points = sample_space(space, 256, 7)
+    assert points.index(points[k]) == k
+    lhs, rhs = zero_map(space, space), spike(space, space, points[k])
+    want = assert_agrees(lhs, rhs, strat)
+    lhs, rhs = built(lhs), built(rhs)
+    rep = morphisms_equal(lhs, rhs, strat)
+    assert (rep.passed, rep.checked, rep.counterexample) == (False, k + 1, want.counterexample)
+    assert len(lhs.builds) == len(rhs.builds) == 1 and len(lhs.builds[0]) == 256
 
 
 def batches(m, strat):
@@ -429,16 +467,17 @@ def real_spike(dom, cod, at):
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 10**6), data=st.data())
 def test_first_real_mismatch_anywhere_in_the_test_set(text, seed, data):
-    # past the first chunk of 16 and the next of 4096, `checked` shows any
-    # offset error, and the counts show one closure call per chunk
+    # past the first chunk of 4096, and at the borders of the chunks a codec
+    # stage would take (16, then 4096), `checked` shows any offset error, and
+    # the counts show one closure call per chunk
     space = parse_space(text)
     lhs = sm.derivative(compose(sm.primitive("sin", space), sm.primitive("sq", space)))
     count = FIRST_CHUNK + MAX_CHUNK + 40
     strat = EqualityStrategy(Sampled(count, seed))
     points = sample_space(lhs.dom, count, seed)
     k = data.draw(st.one_of(
-        st.sampled_from([0, FIRST_CHUNK - 1, FIRST_CHUNK, FIRST_CHUNK + MAX_CHUNK - 1,
-                         FIRST_CHUNK + MAX_CHUNK, count - 1]),
+        st.sampled_from([0, FIRST_CHUNK - 1, FIRST_CHUNK, MAX_CHUNK - 1, MAX_CHUNK,
+                         FIRST_CHUNK + MAX_CHUNK - 1, FIRST_CHUNK + MAX_CHUNK, count - 1]),
         st.integers(0, count - 1)))
     rep = assert_agrees(lhs, add(lhs, real_spike(lhs.dom, lhs.cod, points[k])), strat)
     assert rep.checked == k + 1 and rep.counterexample["input"] == to_jsonable(points[k])
@@ -450,7 +489,7 @@ def test_each_side_runs_once_per_chunk():
     f, g = counted(lhs), counted(again(lhs))
     rep = morphisms_equal(f, g, EqualityStrategy(Sampled(2 * MAX_CHUNK, 3)))
     assert rep.passed and rep.checked == 2 * MAX_CHUNK
-    assert len(f.calls) == len(g.calls) == 3
+    assert len(f.calls) == len(g.calls) == 2  # no codes, so no first chunk of 16
     assert all(isinstance(c, np.ndarray) for x in f.calls for c in flatten(lhs.dom, x))
 
 

@@ -98,6 +98,39 @@ def test_usage_error_exits_two(capsys):
     assert main(["check", "--model", "findiff", "--axioms", "CdC99"]) == 2
 
 
+def test_no_command_exits_two_and_top_level_help_lists_every_command(capsys):
+    assert main([]) == 2
+    assert main(["-h"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: diffkit [-h]") and all(cmd in out for cmd in cli.COMMANDS)
+
+
+@pytest.mark.parametrize("cmd", list(cli.COMMANDS))
+def test_a_command_parser_alone_gives_the_trees_help(capsys, cmd):
+    # `main` builds only the named command's parser; its help is the one
+    # the whole tree of subcommands gives for that command
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args([cmd, "-h"])
+    tree = capsys.readouterr().out
+    assert main([cmd, "-h"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: diffkit {cmd} [-h]") and out == tree
+
+
+def test_abbreviated_options_still_parse(capsys):
+    args = cli.build_parser("check").parse_args(["--sub", "3", "--ax", "CdC0"])
+    assert (args.subjects, args.axioms, args.fn) == (3, "CdC0", cli._cmd_check)
+    assert main(["check", "--sp", "Z3", "--sub", "1", "--ax", "CdC0"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"][0]["axiom"] == "CdC0"
+
+
+def test_unknown_option_exits_two_with_the_commands_usage(capsys):
+    assert main(["check", "--nosuch", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: diffkit check [-h]")
+    assert err.splitlines()[-1] == "diffkit check: error: unrecognized arguments: --nosuch 1"
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "--space", "Z0"],
     ["check", "--space", "Int[-100,100]", "--samples", "0"],

@@ -1,4 +1,6 @@
+import collections
 import math
+import random
 
 import numpy as np
 import pytest
@@ -6,8 +8,10 @@ import pytest
 from diffkit.errors import ModelRestriction
 from diffkit.kernel import check_axiom, identity
 from diffkit.models import Dual, get_model
+from diffkit.models.smooth import _SUBJECT_VALUE_CAP, _random_grammar_fn, _subject_ok
 from diffkit.morphisms import EqualityStrategy, Morphism, Sampled
-from diffkit.spaces import CyclicGroup, Real, sample_space
+from diffkit.spaces import (CyclicGroup, Real, batch_sampler, derive_seed, flatten, parse_space,
+                            sample_space)
 
 sm = get_model("smooth")
 R1 = Real(1)
@@ -119,3 +123,37 @@ def test_subject_pool_is_deterministic_and_tame():
         for x in pts:
             assert f(x) == g(x)
             assert all(math.isfinite(c) and abs(c) <= 1e4 for c in f(x))
+
+
+def _point_subject_ok(space, fn, probes):
+    """The point-by-point probe `random_subjects` used before probing on
+    columns: the reference that `_subject_ok` must match. 'overflow' where a
+    probe raised OverflowError, else whether every value was finite and
+    within the cap."""
+    try:
+        for p in probes:
+            v = flatten(space, fn(p))
+            if any(not math.isfinite(c) or abs(c) > _SUBJECT_VALUE_CAP for c in v):
+                return False
+    except OverflowError:
+        return "overflow"
+    return True
+
+
+def test_column_probe_rejects_what_the_point_probe_rejects():
+    # one call on float64 columns under np.errstate against 24 point calls
+    # with math: the same acceptance for every candidate, including those
+    # whose exp layers overflow (on R^1 no candidate is rejected)
+    outcomes = collections.Counter()
+    for text in ["R^1", "R^2", "(R^1 x R^2)"]:
+        space = parse_space(text)
+        for seed in range(500):
+            pseed = derive_seed(seed, "smooth-probes")
+            points, columns = sample_space(space, 24, pseed), batch_sampler(space, pseed)(24)
+            for attempt in range(3):
+                rng = random.Random(derive_seed(seed, "smooth-subject", attempt))
+                fn = _random_grammar_fn(space, rng)
+                want = _point_subject_ok(space, fn, points)
+                outcomes[want] += 1
+                assert _subject_ok(space, fn, columns) == (want is True), (text, seed, attempt)
+    assert outcomes["overflow"] > 0 and outcomes[False] > 0
